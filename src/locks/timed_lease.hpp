@@ -18,7 +18,7 @@
 // at the resource even though the holder itself never noticed the reclaim.
 //
 // Two knobs exist to plant the classic bugs for the model checker
-// (mc::check_drift, bench/mc_verification.cpp):
+// (mc::drift_workload, bench/mc_verification.cpp):
 //
 //   * safety_margin_ns == 0 trusts the local clocks outright: safe under
 //     perfect clocks, violated under SimOptions::max_drift_events — a slow

@@ -76,21 +76,7 @@ rma::SimOptions schedule_options(const CheckConfig& config, u64 schedule) {
   opts.pct_horizon = static_cast<u64>(config.topology.nprocs()) *
                      static_cast<u64>(config.acquires_per_proc) * 50;
   opts.max_steps = config.max_steps;
-  opts.max_crashes = config.max_crashes;
-  opts.crash_chance_permille = config.crash_chance_permille;
-  opts.restart_crashed = config.restart_crashed;
-  opts.adversarial_suspicion = config.adversarial_suspicion;
-  opts.max_tears = config.max_tears;
-  opts.tear_chance_permille = config.tear_chance_permille;
-  opts.max_delays = config.max_delays;
-  opts.delay_chance_permille = config.delay_chance_permille;
-  opts.delay_factor = config.delay_factor;
-  opts.max_partitions = config.max_partitions;
-  opts.partition_span = config.partition_span;
-  opts.max_drift_events = config.max_drift_events;
-  opts.drift_chance_permille = config.drift_chance_permille;
-  opts.max_drift_permille = config.max_drift_permille;
-  opts.skew_window = config.skew_window;
+  opts.knobs() = config.knobs();
   opts.abort_on_deadlock = false;  // report, don't abort: we are the checker
   // Randomized campaigns do not record up front: the engine is
   // deterministic, so capture_first_failure re-records only the (rare)
@@ -117,401 +103,375 @@ rma::SimOptions replay_options(const CheckConfig& config, u64 world_seed,
   return opts;
 }
 
-ScheduleOutcome run_rw_schedule(const CheckConfig& config,
-                                const RwLockFactory& factory,
-                                const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
-  if (!config.writer_roles.empty()) {
-    RMALOCK_CHECK_MSG(
-        config.writer_roles.size() ==
-            static_cast<usize>(config.topology.nprocs()),
-        "writer_roles has " << config.writer_roles.size() << " entries for "
-                            << config.topology.nprocs() << " processes");
-  }
-  // Random role per (world seed, rank), as in the paper's §4.4 setup —
-  // schedule-independent so a replay under the same seed keeps the roles.
-  const auto is_writer = [&](Rank rank) {
-    if (!config.writer_roles.empty()) {
-      return bool{config.writer_roles[static_cast<usize>(rank)]};
-    }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
+namespace {
+
+/// Whether `rank` is a writer: config.writer_roles when pinned, else drawn
+/// per (world seed, rank) as in the paper's §4.4 setup — independent of the
+/// schedule, so a replay under the same seed keeps the roles.
+bool is_writer(const CheckConfig& config, u64 seed, Rank rank) {
+  if (config.writer_roles.empty()) {
+    Xoshiro256 rng(mix_seed(seed, 0xAB0 + static_cast<u64>(rank)));
     return rng.uniform() < config.writer_fraction;
-  };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      if (writer) {
-        lock->acquire_write(comm);
-        monitor.enter_write();
-        comm.compute(10);  // scheduling point: keeps the CS observable
-        monitor.exit_write();
-        lock->release_write(comm);
-      } else {
-        lock->acquire_read(comm);
-        monitor.enter_read();
-        comm.compute(10);
-        monitor.exit_read();
-        lock->release_read(comm);
-      }
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
+  }
+  RMALOCK_CHECK_MSG(
+      config.writer_roles.size() ==
+          static_cast<usize>(config.topology.nprocs()),
+      "writer_roles has " << config.writer_roles.size() << " entries for "
+                          << config.topology.nprocs() << " processes");
+  return config.writer_roles[static_cast<usize>(rank)];
 }
 
-ScheduleOutcome run_lockspace_schedule(const CheckConfig& config,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       const rma::SimOptions& opts) {
+/// Key index of process `rank`'s i-th acquisition in the keyed workloads.
+usize key_index(Rank rank, i32 i, usize nkeys) {
+  return (static_cast<usize>(rank) + static_cast<usize>(i)) % nkeys;
+}
+
+/// Folds per-key critical-section monitors into a schedule outcome.
+void add_monitors(ScheduleOutcome& outcome,
+                  const std::vector<CsMonitor>& monitors) {
+  for (const CsMonitor& monitor : monitors) {
+    outcome.mutex_violations += monitor.violations();
+    outcome.cs_entries += monitor.entries();
+  }
+}
+
+/// Peak number of distinct keys held at once: the cross-key concurrency
+/// witness. SimWorld runs fibers serially between RMA calls, so plain
+/// counters are exact.
+class KeyOverlap {
+ public:
+  explicit KeyOverlap(usize keys) : holders_(keys, 0) {}
+  void enter(usize ki) {
+    if (holders_[ki]++ == 0) peak_ = std::max(peak_, ++held_);
+  }
+  void exit(usize ki) {
+    if (--holders_[ki] == 0) --held_;
+  }
+  [[nodiscard]] u64 peak() const { return peak_; }
+
+ private:
+  std::vector<i64> holders_;
+  u64 held_ = 0;
+  u64 peak_ = 0;
+};
+
+}  // namespace
+
+Workload rw_workload(RwLockFactory factory) {
+  return {[factory = std::move(factory)](const CheckConfig& config,
+                                         const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(config, opts.seed, comm.rank());
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        if (writer) {
+          lock->acquire_write(comm);
+          monitor.enter_write();
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          monitor.exit_write();
+          lock->release_write(comm);
+        } else {
+          lock->acquire_read(comm);
+          monitor.enter_read();
+          comm.compute(10);
+          monitor.exit_read();
+          lock->release_read(comm);
+        }
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
+  }};
+}
+
+Workload exclusive_workload(ExclusiveLockFactory factory) {
+  return {[factory = std::move(factory)](const CheckConfig& config,
+                                         const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        lock->acquire(comm);
+        monitor.enter();
+        comm.compute(10);  // scheduling point: keeps the CS observable
+        monitor.exit();
+        lock->release(comm);
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
+  }};
+}
+
+Workload lease_workload(LeaseLockFactory factory) {
+  return {[factory = std::move(factory)](const CheckConfig& config,
+                                         const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    EpochMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        comm.crash_point();  // may die right before competing for the lease
+        const i64 epoch = lock->acquire_epoch(comm);
+        monitor.enter(epoch);
+        comm.compute(10);  // scheduling point: keeps the CS observable
+        comm.crash_point();  // may die mid-CS — the unwind skips exit() and
+                             // release(), so the epoch stays active and the
+                             // lease is orphaned until a survivor fences it
+        monitor.exit(epoch);
+        lock->release(comm);
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
+  }};
+}
+
+Workload lockspace_workload(LockSpaceFactory factory, std::vector<u64> keys) {
   RMALOCK_CHECK_MSG(!keys.empty(), "lockspace workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  if (!config.writer_roles.empty()) {
-    RMALOCK_CHECK_MSG(
-        config.writer_roles.size() ==
-            static_cast<usize>(config.topology.nprocs()),
-        "writer_roles has " << config.writer_roles.size() << " entries for "
-                            << config.topology.nprocs() << " processes");
-  }
-  const auto is_writer = [&](Rank rank) {
-    if (!config.writer_roles.empty()) {
-      return bool{config.writer_roles[static_cast<usize>(rank)]};
-    }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
-    return rng.uniform() < config.writer_fraction;
-  };
-  // One monitor per key: mutual exclusion is a per-key property. The
-  // holders/distinct tally witnesses cross-key concurrency — SimWorld runs
-  // fibers serially between RMA calls, so plain counters are exact.
-  std::vector<CsMonitor> monitors(keys.size());
-  std::vector<i64> holders(keys.size(), 0);
-  i64 distinct_held = 0;
-  u64 max_distinct_held = 0;
-  const auto enter_key = [&](usize ki) {
-    if (holders[ki]++ == 0) {
-      ++distinct_held;
-      max_distinct_held =
-          std::max(max_distinct_held, static_cast<u64>(distinct_held));
-    }
-  };
-  const auto exit_key = [&](usize ki) {
-    if (--holders[ki] == 0) --distinct_held;
-  };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const usize ki = (static_cast<usize>(comm.rank()) +
-                        static_cast<usize>(i)) %
-                       keys.size();
-      const u64 key = keys[ki];
-      if (writer || !space->rw_capable()) {
-        space->acquire(comm, key);
-        monitors[ki].enter_write();
-        enter_key(ki);
-        comm.compute(10);  // scheduling point: keeps the CS observable
-        exit_key(ki);
-        monitors[ki].exit_write();
-        space->release(comm, key);
-      } else {
-        space->acquire_read(comm, key);
-        monitors[ki].enter_read();
-        enter_key(ki);
-        comm.compute(10);
-        exit_key(ki);
-        monitors[ki].exit_read();
-        space->release_read(comm, key);
+  return {[factory = std::move(factory), keys = std::move(keys)](
+              const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    // One monitor per key: mutual exclusion is a per-key property.
+    std::vector<CsMonitor> monitors(keys.size());
+    KeyOverlap overlap(keys.size());
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(config, opts.seed, comm.rank());
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const usize ki = key_index(comm.rank(), i, keys.size());
+        const u64 key = keys[ki];
+        if (writer || !space->rw_capable()) {
+          space->acquire(comm, key);
+          monitors[ki].enter_write();
+          overlap.enter(ki);
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          overlap.exit(ki);
+          monitors[ki].exit_write();
+          space->release(comm, key);
+        } else {
+          space->acquire_read(comm, key);
+          monitors[ki].enter_read();
+          overlap.enter(ki);
+          comm.compute(10);
+          overlap.exit(ki);
+          monitors[ki].exit_read();
+          space->release_read(comm, key);
+        }
       }
-    }
-  });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.max_distinct_keys_held = max_distinct_held;
-  outcome.lock_name = space->describe();
-  return outcome;
+    });
+    add_monitors(outcome, monitors);
+    outcome.max_distinct_keys_held = overlap.peak();
+    outcome.lock_name = space->describe();
+    return outcome;
+  }};
 }
 
-ScheduleOutcome run_optimistic_schedule(const CheckConfig& config,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        const rma::SimOptions& opts) {
+Workload optimistic_workload(LockSpaceFactory factory, std::vector<u64> keys) {
   RMALOCK_CHECK_MSG(!keys.empty(), "optimistic workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  RMALOCK_CHECK_MSG(space->optimistic_capable(),
-                    "optimistic workload needs payload_words > 0");
-  const usize payload = static_cast<usize>(space->payload_words());
-  if (!config.writer_roles.empty()) {
-    RMALOCK_CHECK_MSG(
-        config.writer_roles.size() ==
-            static_cast<usize>(config.topology.nprocs()),
-        "writer_roles has " << config.writer_roles.size() << " entries for "
-                            << config.topology.nprocs() << " processes");
-  }
-  const auto is_writer = [&](Rank rank) {
-    if (!config.writer_roles.empty()) {
-      return bool{config.writer_roles[static_cast<usize>(rank)]};
-    }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
-    return rng.uniform() < config.writer_fraction;
-  };
-  // Write-side mutual exclusion stays a per-key CsMonitor property; the
-  // lock-free readers are instead checked for snapshot consistency: every
-  // payload a read returns must be non-increasing along the word index
-  // (writers publish ascending-order, monotone-generation words — see
-  // OptimisticReadMonitor). Both fold into mutex_violations.
-  std::vector<CsMonitor> monitors(keys.size());
-  OptimisticReadMonitor read_monitor;
-  std::vector<i64> holders(keys.size(), 0);
-  i64 distinct_held = 0;
-  u64 max_distinct_held = 0;
-  const auto enter_key = [&](usize ki) {
-    if (holders[ki]++ == 0) {
-      ++distinct_held;
-      max_distinct_held =
-          std::max(max_distinct_held, static_cast<u64>(distinct_held));
-    }
-  };
-  const auto exit_key = [&](usize ki) {
-    if (--holders[ki] == 0) --distinct_held;
-  };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    std::vector<i64> buf(payload, 0);
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const usize ki = (static_cast<usize>(comm.rank()) +
-                        static_cast<usize>(i)) %
-                       keys.size();
-      const u64 key = keys[ki];
-      if (writer) {
-        space->acquire(comm, key);
-        monitors[ki].enter_write();
-        enter_key(ki);
-        // Next generation for this key: completed write sessions so far
-        // plus one (version is even and == 2 * sessions under the lock).
-        const i64 gen = space->payload_version(comm, key) / 2 + 1;
-        std::fill(buf.begin(), buf.end(), gen);
-        space->write_payload(comm, key, buf.data(), payload);
+  return {[factory = std::move(factory), keys = std::move(keys)](
+              const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    RMALOCK_CHECK_MSG(space->optimistic_capable(),
+                      "optimistic workload needs payload_words > 0");
+    const usize payload = static_cast<usize>(space->payload_words());
+    // Write-side mutual exclusion stays a per-key CsMonitor property; the
+    // lock-free readers are instead checked for snapshot consistency: every
+    // payload a read returns must be non-increasing along the word index
+    // (writers publish ascending-order, monotone-generation words — see
+    // OptimisticReadMonitor). Both fold into mutex_violations.
+    std::vector<CsMonitor> monitors(keys.size());
+    OptimisticReadMonitor read_monitor;
+    KeyOverlap overlap(keys.size());
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(config, opts.seed, comm.rank());
+      std::vector<i64> buf(payload, 0);
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const usize ki = key_index(comm.rank(), i, keys.size());
+        const u64 key = keys[ki];
+        if (writer) {
+          space->acquire(comm, key);
+          monitors[ki].enter_write();
+          overlap.enter(ki);
+          // Next generation for this key: completed write sessions so far
+          // plus one (version is even and == 2 * sessions under the lock).
+          const i64 gen = space->payload_version(comm, key) / 2 + 1;
+          std::fill(buf.begin(), buf.end(), gen);
+          space->write_payload(comm, key, buf.data(), payload);
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          overlap.exit(ki);
+          monitors[ki].exit_write();
+          space->release(comm, key);
+        } else {
+          space->optimistic_read(comm, key, buf.data(), payload);
+          read_monitor.record(buf.data(), payload);
+        }
+      }
+    });
+    add_monitors(outcome, monitors);
+    outcome.mutex_violations += read_monitor.violations();
+    outcome.cs_entries += read_monitor.reads();
+    outcome.max_distinct_keys_held = overlap.peak();
+    outcome.lock_name = space->describe();
+    return outcome;
+  }};
+}
+
+Workload timeout_workload(ExclusiveLockFactory factory) {
+  return {[factory = std::move(factory)](const CheckConfig& config,
+                                         const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    LivelockMonitor livelock(kLivelockBound);
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 round = 0; round < config.timeout_retry_rounds; ++round) {
+        const Nanos deadline = comm.now_ns() + kAcquireTimeoutNs;
+        const locks::AcquireResult r =
+            lock->try_acquire_for(comm, deadline, config.retry);
+        livelock.record(comm.rank(), r.attempts, r.ok());
+        if (!r.ok()) continue;  // timed out: the round's budget is spent
+        monitor.enter();
         comm.compute(10);  // scheduling point: keeps the CS observable
-        exit_key(ki);
+        monitor.exit();
+        lock->release(comm);
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.livelock_violations = livelock.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
+  }};
+}
+
+Workload drift_workload(DriftLeaseFactory factory) {
+  return {[factory = std::move(factory)](const CheckConfig& config,
+                                         const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    DriftLeaseSubject subject = factory(*world);
+    RMALOCK_CHECK(subject.lease != nullptr && subject.space != nullptr);
+    RMALOCK_CHECK_MSG(subject.space->optimistic_capable(),
+                      "drift workload needs payload_words > 0");
+    const usize payload = static_cast<usize>(subject.space->payload_words());
+    const Nanos duration = subject.lease->params().duration_ns;
+    const Nanos margin = subject.lease->params().safety_margin_ns;
+    // Pace the hold so the last write lands AT the belief boundary: each
+    // round checks still_valid, ages the belief by a quarter duration, THEN
+    // writes — the check-then-act pattern every real lease client has. With
+    // honest clocks the claimant's reclaim_grace_ns covers that in-flight
+    // final write; a drift-slow clock stretches the same local schedule past
+    // the grace in real time, and THOSE are the stale writes the fencing
+    // token exists to reject.
+    const Nanos chunk = std::max<Nanos>(1, duration / 4);
+    WallClockLeaseMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      std::vector<i64> buf(payload, 0);
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const i64 token = subject.lease->acquire_token(comm);
+        monitor.session_begin(comm.rank(), comm.now_ns());
+        // A well-behaved client: writes only while it believes the grant
+        // valid on its own clock, and stamps every write with its token.
+        // What it cannot know is whether its clock made the belief a lie —
+        // deciding that is the resource's (and the monitor's) job.
+        for (i32 w = 0; w < 8; ++w) {
+          if (!subject.lease->still_valid(comm)) break;
+          // A fresh grantee writes immediately; later rounds age the belief
+          // first, so a lying clock's final round writes past the boundary.
+          if (w > 0) comm.compute(chunk);
+          std::fill(buf.begin(), buf.end(), token);
+          i64 admitted = 0;
+          const bool accepted = subject.space->write_payload_fenced(
+              comm, subject.key, token, buf.data(), payload, &admitted);
+          monitor.commit(token, accepted,
+                         admitted & lockspace::LockSpace::kTokenSeqMask);
+          if (!accepted) break;  // fenced out: this grant is stale
+        }
+        monitor.session_end(comm.rank(), comm.now_ns());
+        // Rank-staggered holds are ABANDONED — the holder walks away without
+        // releasing (a stalled client), so the next claimant must reclaim by
+        // time. Staggering by rank keeps one releasing rank per round; if
+        // every rank abandoned the same rounds the fleet would phase-lock
+        // into self-re-takes and no timed reclaim would ever happen. The
+        // abandoner sits out past every claimant's reclaim point (with a
+        // jittered tail so reclaims never tie-break against self-re-takes)
+        // so it does not simply re-take its own lease.
+        if ((i + comm.rank()) % 2 == 0) {
+          subject.lease->release(comm);
+        } else {
+          comm.compute(2 * (duration + margin) +
+                       static_cast<Nanos>(
+                           comm.rng().below(static_cast<u64>(duration))));
+        }
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.stale_token_commits = monitor.stale_commits();
+    outcome.cs_entries = monitor.writes();
+    outcome.lock_name = subject.lease->name();
+    return outcome;
+  }};
+}
+
+Workload rehome_workload(LockSpaceFactory factory, std::vector<u64> keys) {
+  RMALOCK_CHECK_MSG(!keys.empty(), "rehome workload needs >= 1 key");
+  return {[factory = std::move(factory), keys = std::move(keys)](
+              const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    RMALOCK_CHECK_MSG(space->config().rehome_epochs >= 1,
+                      "rehome workload needs rehome_epochs >= 1");
+    const Rank nprocs = config.topology.nprocs();
+    // Per-key monitors, plane-agnostic: an old-plane owner concurrent with a
+    // new-plane owner of the same key is exactly a mutex violation here.
+    std::vector<CsMonitor> monitors(keys.size());
+    LivelockMonitor livelock(kLivelockBound);
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const Rank me = comm.rank();
+      const bool migrator = me == nprocs - 1;
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        if (migrator && i == config.acquires_per_proc / 2) {
+          // Mid-run migration of the first key's shard to its successor
+          // home; a generous drain budget so only a wedged holder aborts it.
+          const i32 shard = space->resolve(keys[0]).shard;
+          (void)space->rehome_shard(comm, shard, 10 * kAcquireTimeoutNs);
+        }
+        const usize ki = key_index(me, i, keys.size());
+        const u64 key = keys[ki];
+        const Nanos deadline = comm.now_ns() + kAcquireTimeoutNs;
+        const locks::AcquireResult r =
+            space->try_acquire_for(comm, key, deadline, config.retry);
+        livelock.record(me, r.attempts, r.ok());
+        if (!r.ok()) continue;  // timeout or degraded: budget spent
+        monitors[ki].enter_write();
+        comm.compute(10);  // scheduling point: keeps the CS observable
         monitors[ki].exit_write();
         space->release(comm, key);
-      } else {
-        space->optimistic_read(comm, key, buf.data(), payload);
-        read_monitor.record(buf.data(), payload);
       }
-    }
-  });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.mutex_violations += read_monitor.violations();
-  outcome.cs_entries += read_monitor.reads();
-  outcome.max_distinct_keys_held = max_distinct_held;
-  outcome.lock_name = space->describe();
-  return outcome;
-}
-
-ScheduleOutcome run_exclusive_schedule(const CheckConfig& config,
-                                       const ExclusiveLockFactory& factory,
-                                       const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      lock->acquire(comm);
-      monitor.enter();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitor.exit();
-      lock->release(comm);
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
-}
-
-ScheduleOutcome run_lease_schedule(const CheckConfig& config,
-                                   const LeaseLockFactory& factory,
-                                   const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  EpochMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      comm.crash_point();  // may die right before competing for the lease
-      const i64 epoch = lock->acquire_epoch(comm);
-      monitor.enter(epoch);
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      comm.crash_point();  // may die mid-CS — the unwind skips exit() and
-                           // release(), so the epoch stays active and the
-                           // lease is orphaned until a survivor fences it
-      monitor.exit(epoch);
-      lock->release(comm);
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
-}
-
-ScheduleOutcome run_timeout_schedule(const CheckConfig& config,
-                                     const ExclusiveLockFactory& factory,
-                                     const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
-  LivelockMonitor livelock(config.livelock_bound);
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 round = 0; round < config.timeout_retry_rounds; ++round) {
-      const Nanos deadline = comm.now_ns() + config.acquire_timeout_ns;
-      const locks::AcquireResult r =
-          lock->try_acquire_for(comm, deadline, config.retry);
-      livelock.record(comm.rank(), r.attempts, r.ok());
-      if (!r.ok()) continue;  // timed out: the round's budget is spent
-      monitor.enter();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitor.exit();
-      lock->release(comm);
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.livelock_violations = livelock.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
-}
-
-ScheduleOutcome run_drift_schedule(const CheckConfig& config,
-                                   const DriftLeaseFactory& factory,
-                                   const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  DriftLeaseSubject subject = factory(*world);
-  RMALOCK_CHECK(subject.lease != nullptr && subject.space != nullptr);
-  RMALOCK_CHECK_MSG(subject.space->optimistic_capable(),
-                    "drift workload needs payload_words > 0");
-  const usize payload = static_cast<usize>(subject.space->payload_words());
-  const Nanos duration = subject.lease->params().duration_ns;
-  const Nanos margin = subject.lease->params().safety_margin_ns;
-  // Pace the hold so the last write lands AT the belief boundary: each
-  // round checks still_valid, ages the belief by a quarter duration, THEN
-  // writes — the check-then-act pattern every real lease client has. With
-  // honest clocks the claimant's reclaim_grace_ns covers that in-flight
-  // final write; a drift-slow clock stretches the same local schedule past
-  // the grace in real time, and THOSE are the stale writes the fencing
-  // token exists to reject.
-  const Nanos chunk = std::max<Nanos>(1, duration / 4);
-  WallClockLeaseMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    std::vector<i64> buf(payload, 0);
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const i64 token = subject.lease->acquire_token(comm);
-      monitor.session_begin(comm.rank(), comm.now_ns());
-      // A well-behaved client: writes only while it believes the grant
-      // valid on its own clock, and stamps every write with its token.
-      // What it cannot know is whether its clock made the belief a lie —
-      // deciding that is the resource's (and the monitor's) job.
-      for (i32 w = 0; w < 8; ++w) {
-        if (!subject.lease->still_valid(comm)) break;
-        // A fresh grantee writes immediately; later rounds age the belief
-        // first, so a lying clock's final round writes past the boundary.
-        if (w > 0) comm.compute(chunk);
-        std::fill(buf.begin(), buf.end(), token);
-        i64 admitted = 0;
-        const bool accepted = subject.space->write_payload_fenced(
-            comm, subject.key, token, buf.data(), payload, &admitted);
-        monitor.commit(token, accepted,
-                       admitted & lockspace::LockSpace::kTokenSeqMask);
-        if (!accepted) break;  // fenced out: this grant is stale
-      }
-      monitor.session_end(comm.rank(), comm.now_ns());
-      // Rank-staggered holds are ABANDONED — the holder walks away without
-      // releasing (a stalled client), so the next claimant must reclaim by
-      // time. Staggering by rank keeps one releasing rank per round; if
-      // every rank abandoned the same rounds the fleet would phase-lock
-      // into self-re-takes and no timed reclaim would ever happen. The
-      // abandoner sits out past every claimant's reclaim point (with a
-      // jittered tail so reclaims never tie-break against self-re-takes)
-      // so it does not simply re-take its own lease.
-      if ((i + comm.rank()) % 2 == 0) {
-        subject.lease->release(comm);
-      } else {
-        comm.compute(2 * (duration + margin) +
-                     static_cast<Nanos>(
-                         comm.rng().below(static_cast<u64>(duration))));
-      }
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.stale_token_commits = monitor.stale_commits();
-  outcome.cs_entries = monitor.writes();
-  outcome.lock_name = subject.lease->name();
-  return outcome;
-}
-
-ScheduleOutcome run_rehome_schedule(const CheckConfig& config,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    const rma::SimOptions& opts) {
-  RMALOCK_CHECK_MSG(!keys.empty(), "rehome workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  RMALOCK_CHECK_MSG(space->config().rehome_epochs >= 1,
-                    "rehome workload needs rehome_epochs >= 1");
-  const Rank nprocs = config.topology.nprocs();
-  // Per-key monitors, plane-agnostic: an old-plane owner concurrent with a
-  // new-plane owner of the same key is exactly a mutex violation here.
-  std::vector<CsMonitor> monitors(keys.size());
-  LivelockMonitor livelock(config.livelock_bound);
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const Rank me = comm.rank();
-    const bool migrator = me == nprocs - 1;
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      if (migrator && i == config.acquires_per_proc / 2) {
-        // Mid-run migration of the first key's shard to its successor
-        // home; a generous drain budget so only a wedged holder aborts it.
-        const i32 shard = space->resolve(keys[0]).shard;
-        (void)space->rehome_shard(comm, shard,
-                                  10 * config.acquire_timeout_ns);
-      }
-      const usize ki =
-          (static_cast<usize>(me) + static_cast<usize>(i)) % keys.size();
-      const u64 key = keys[ki];
-      const Nanos deadline = comm.now_ns() + config.acquire_timeout_ns;
-      const locks::AcquireResult r =
-          space->try_acquire_for(comm, key, deadline, config.retry);
-      livelock.record(me, r.attempts, r.ok());
-      if (!r.ok()) continue;  // timeout or degraded: budget spent
-      monitors[ki].enter_write();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitors[ki].exit_write();
-      space->release(comm, key);
-    }
-  });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.livelock_violations = livelock.violations();
-  outcome.lock_name = space->describe();
-  return outcome;
+    });
+    add_monitors(outcome, monitors);
+    outcome.livelock_violations = livelock.violations();
+    outcome.lock_name = space->describe();
+    return outcome;
+  }};
 }
 
 void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome) {
@@ -528,6 +488,9 @@ void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome) {
 }
 
 namespace {
+
+/// Replay budget for shrinking one counterexample.
+constexpr u64 kMaxShrinkReplays = 2000;
 
 /// "rw:rma-rw" -> "rw_rma-rw" (safe as a filename component).
 std::string sanitize_for_filename(const std::string& s) {
@@ -575,7 +538,7 @@ void capture_first_failure(
   failure.schedule_index = schedule_index;
   failure.world_seed = opts.seed;
   failure.trace = outcome.run.schedule;
-  if (failure.trace.empty() && config.record_traces && !opts.pick_hook) {
+  if (failure.trace.empty() && !opts.pick_hook) {
     // The failing run was not recorded (randomized campaigns skip recording
     // on the hot path): re-execute it deterministically with recording on.
     rma::SimOptions record_opts = opts;
@@ -596,7 +559,7 @@ void capture_first_failure(
       return replayed.run.deadlocked;
     };
     failure.trace =
-        shrink_trace(failure.trace, oracle, config.max_shrink_replays);
+        shrink_trace(failure.trace, oracle, kMaxShrinkReplays);
   }
 
   // Flight recorder: re-run the (shrunk) counterexample once with the event
@@ -628,21 +591,7 @@ void capture_first_failure(
     repro.writer_fraction = config.writer_fraction;
     repro.writer_roles = config.writer_roles;
     repro.max_steps = config.max_steps;
-    repro.max_crashes = config.max_crashes;
-    repro.crash_chance_permille = config.crash_chance_permille;
-    repro.restart_crashed = config.restart_crashed;
-    repro.adversarial_suspicion = config.adversarial_suspicion;
-    repro.max_tears = config.max_tears;
-    repro.tear_chance_permille = config.tear_chance_permille;
-    repro.max_delays = config.max_delays;
-    repro.delay_chance_permille = config.delay_chance_permille;
-    repro.delay_factor = config.delay_factor;
-    repro.max_partitions = config.max_partitions;
-    repro.partition_span = config.partition_span;
-    repro.max_drift_events = config.max_drift_events;
-    repro.drift_chance_permille = config.drift_chance_permille;
-    repro.max_drift_permille = config.max_drift_permille;
-    repro.skew_window = config.skew_window;
+    repro.knobs() = config.knobs();
     repro.trace = failure.trace;
     const std::string name = failure_trace_path(config, failure.lock_name,
                                                 failure.kind, schedule_index);
@@ -675,33 +624,27 @@ void capture_first_failure(
   report.first_failure = std::move(failure);
 }
 
-namespace {
-
-/// Shared driver for the randomized campaigns. `run_one` executes one
-/// schedule under the given options (workload + factory already bound).
-///
-/// Sequential (jobs == 1) and parallel (jobs > 1) paths are observably
-/// identical: schedule i's options depend only on (config, i), the
-/// parallel path collects outcomes into per-index slots, and folding /
-/// first-failure capture (including ddmin shrinking and trace-file
-/// writing) always happens on the calling thread, in index order — so the
-/// reported first failure is the smallest failing schedule index no matter
-/// which worker finished first.
-template <typename RunOne>
-CheckReport check_campaign(const CheckConfig& config, const RunOne& run_one) {
+// Sequential (jobs == 1) and parallel (jobs > 1) paths are observably
+// identical: schedule i's options depend only on (config, i), the parallel
+// path collects outcomes into per-index slots, and folding / first-failure
+// capture (including ddmin shrinking and trace-file writing) always happens
+// on the calling thread, in index order — so the reported first failure is
+// the smallest failing schedule index no matter which worker finished
+// first.
+CheckReport check(const CheckConfig& config, const Workload& workload) {
   CheckReport report;
   // The schedule-invariant option parts (topology copy, latency model,
   // PCT horizon) are built once, outside the hot schedule loop; per
   // schedule only the world seed changes.
   rma::SimOptions opts = schedule_options(config, 0);
-  const auto rerun = [&](const rma::SimOptions& replay_opts) {
-    return run_one(replay_opts);
+  const auto rerun = [&](const rma::SimOptions& run_opts) {
+    return workload.run(config, run_opts);
   };
   const i32 jobs = harness::TaskPool::resolve_jobs(config.jobs);
   if (jobs <= 1 || config.schedules <= 1) {
     for (u64 schedule = 0; schedule < config.schedules; ++schedule) {
       opts.seed = mix_seed(config.base_seed, schedule);
-      const ScheduleOutcome outcome = run_one(opts);
+      const ScheduleOutcome outcome = rerun(opts);
       fold_outcome(report, outcome);
       capture_first_failure(report, config, outcome, schedule, opts, rerun);
     }
@@ -712,7 +655,7 @@ CheckReport check_campaign(const CheckConfig& config, const RunOne& run_one) {
   pool.run(config.schedules, [&](u64 schedule) {
     rma::SimOptions task_opts = opts;  // private copy per task
     task_opts.seed = mix_seed(config.base_seed, schedule);
-    slots[static_cast<usize>(schedule)] = run_one(task_opts);
+    slots[static_cast<usize>(schedule)] = rerun(task_opts);
   });
   for (u64 schedule = 0; schedule < config.schedules; ++schedule) {
     opts.seed = mix_seed(config.base_seed, schedule);
@@ -721,66 +664,6 @@ CheckReport check_campaign(const CheckConfig& config, const RunOne& run_one) {
                           schedule, opts, rerun);
   }
   return report;
-}
-
-}  // namespace
-
-CheckReport check_rw(const CheckConfig& config, const RwLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_rw_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_exclusive(const CheckConfig& config,
-                            const ExclusiveLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_exclusive_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_lease(const CheckConfig& config,
-                        const LeaseLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_lease_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_lockspace(const CheckConfig& config,
-                            const LockSpaceFactory& factory,
-                            const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_lockspace_schedule(config, factory, keys, opts);
-  });
-}
-
-CheckReport check_optimistic(const CheckConfig& config,
-                             const LockSpaceFactory& factory,
-                             const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_optimistic_schedule(config, factory, keys, opts);
-  });
-}
-
-CheckReport check_timeout(const CheckConfig& config,
-                          const ExclusiveLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_timeout_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_drift(const CheckConfig& config,
-                        const DriftLeaseFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_drift_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_rehome(const CheckConfig& config,
-                         const LockSpaceFactory& factory,
-                         const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_rehome_schedule(config, factory, keys, opts);
-  });
 }
 
 std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,

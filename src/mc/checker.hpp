@@ -40,8 +40,14 @@
 
 namespace rmalock::mc {
 
-struct CheckConfig {
+/// A campaign's configuration. Its fault knobs (rma::FaultKnobs, see
+/// rma/faults.hpp) reach every schedule's SimOptions and every written trace
+/// file unchanged.
+struct CheckConfig : rma::FaultKnobs {
   topo::Topology topology = topo::Topology::uniform({2, 2}, 2);
+  /// Scheduling policy of randomized campaigns. check_exhaustive explores
+  /// under kVirtualTime iff this is kVirtualTime (the fault decisions are
+  /// then the only branches), and under kReplay otherwise.
   rma::SchedPolicy policy = rma::SchedPolicy::kRandom;
   /// Number of independently seeded schedules to explore.
   u64 schedules = 50;
@@ -58,70 +64,20 @@ struct CheckConfig {
   /// explorer pin a reader/writer mix instead of depending on the seed.
   std::vector<bool> writer_roles;
   i32 pct_change_points = 3;
-  /// Record every schedule so the first failure carries a replayable trace.
-  bool record_traces = true;
   /// ddmin-shrink the first failing trace to a minimal counterexample.
   bool shrink_failures = true;
-  /// Replay budget for shrinking (0 = unbounded).
-  u64 max_shrink_replays = 2000;
   /// If non-empty, write the first failing (shrunk) trace as a
-  /// "rmalock-trace v1" file into this directory and report its path
+  /// "rmalock-trace" file into this directory and report its path
   /// (mc_verification + the CI artifact upload use this).
   std::string trace_dir;
   /// Workload id stamped into written trace files; mc_verification
-  /// --replay maps it back to a lock factory.
+  /// --replay maps it back to a workload.
   std::string workload_id;
-  /// Crash injection (SimOptions::max_crashes etc., see rma/sim_world.hpp):
-  /// crash budget per schedule; 0 keeps every crash point a no-op and the
-  /// campaign identical to the pre-crash-model checker.
-  i32 max_crashes = 0;
-  /// Per-armed-crash-point crash probability under kRandom/kPct (permille).
-  u32 crash_chance_permille = 500;
-  /// Reboot crashed processes (they re-run the workload body from the top).
-  bool restart_crashed = false;
-  /// Failure detector may falsely suspect live processes — the adversarial
-  /// regime where only fencing (not accurate detection) protects safety.
-  bool adversarial_suspicion = false;
-  /// Torn-read injection (SimOptions::max_tears etc.): budget of multi-word
-  /// gets per schedule that may observe a partial concurrent write; 0 keeps
-  /// every get_vec atomic-at-an-instant and the campaign (and its traces)
-  /// identical to the pre-tear-model checker.
-  i32 max_tears = 0;
-  /// Per-armed-get_vec tear probability under kRandom/kPct (permille).
-  u32 tear_chance_permille = 500;
-  /// Gray-failure injection (SimOptions::max_delays / max_partitions etc.):
-  /// budgets of per-op straggler delays and transient target-unreachable
-  /// windows per schedule; 0 keeps the campaign identical to the
-  /// pre-gray-model checker.
-  i32 max_delays = 0;
-  u32 delay_chance_permille = 200;
-  i64 delay_factor = 16;
-  i32 max_partitions = 0;
-  Nanos partition_span = 50'000;
-  /// Clock-drift injection (SimOptions::max_drift_events etc.): budget of
-  /// per-process clock drift/skew events per schedule; 0 keeps every local
-  /// clock perfect and the campaign identical to the pre-drift-model
-  /// checker. The timed-lease workload (check_drift) is the consumer:
-  /// its safety rests exactly on the clock assumptions this model breaks.
-  i32 max_drift_events = 0;
-  u32 drift_chance_permille = 200;
-  u32 max_drift_permille = 200;
-  Nanos skew_window = 2'000;
-  /// Timed-acquire workloads (check_timeout / check_rehome): per-round
-  /// deadline budget in virtual nanoseconds. Under the checker's
-  /// zero-latency network only compute() — i.e. backoff — advances the
-  /// clock toward it (see mc::LivelockMonitor).
-  Nanos acquire_timeout_ns = 60'000;
-  /// try_acquire_for rounds per process in the timeout workloads.
+  /// try_acquire_for rounds per process in the timed workloads.
   i32 timeout_retry_rounds = 3;
   /// Retry policy the timed workloads hand to try_acquire_for. The planted
   /// livelock bug is `retry.backoff = false`.
   locks::RetryPolicy retry;
-  /// LivelockMonitor bound: cumulative attempts without an acquire before
-  /// a rank is declared livelocked. Correct backoff stays ~an order of
-  /// magnitude below; the no-backoff bug blows through it via the
-  /// RetryPolicy::max_attempts valve.
-  u64 livelock_bound = 128;
   /// Worker threads for the campaign (--jobs / RMALOCK_JOBS): 1 = the
   /// sequential loop (default), n > 1 = run schedules on a work-stealing
   /// TaskPool, <= 0 = all hardware threads. Every observable output —
@@ -132,6 +88,20 @@ struct CheckConfig {
   /// (docs/PERF.md, "Parallel campaigns").
   i32 jobs = 1;
 };
+
+// The timed workloads' shape. Constants, not knobs: trace files do not
+// record them, so a campaign that changed them would write traces that
+// replay a different workload.
+
+/// Per-round deadline budget of a timed acquire, in virtual nanoseconds.
+/// Under the checker's zero-latency network only compute(), i.e. backoff,
+/// advances the clock toward it (see mc::LivelockMonitor).
+inline constexpr Nanos kAcquireTimeoutNs = 60'000;
+/// LivelockMonitor bound: cumulative attempts without an acquire before a
+/// rank is declared livelocked. Correct backoff stays ~an order of
+/// magnitude below; the no-backoff bug blows through it via the
+/// RetryPolicy::max_attempts valve.
+inline constexpr u64 kLivelockBound = 128;
 
 /// Coordinates and replayable evidence of the first property violation.
 struct FirstFailure {
@@ -191,121 +161,6 @@ struct CheckReport {
   CheckReport& operator+=(const CheckReport& other);
 };
 
-using RwLockFactory =
-    std::function<std::unique_ptr<locks::RwLock>(rma::World&)>;
-using ExclusiveLockFactory =
-    std::function<std::unique_ptr<locks::ExclusiveLock>(rma::World&)>;
-using LockSpaceFactory =
-    std::function<std::unique_ptr<lockspace::LockSpace>(rma::World&)>;
-using LeaseLockFactory =
-    std::function<std::unique_ptr<locks::LeaseExclusive>(rma::World&)>;
-
-/// Subject of the clock-drift workload (check_drift): one timed lease
-/// guarding one payload key of a payload-capable LockSpace — the lease is
-/// the *permission*, the space's versioned payload the *resource*, and the
-/// grant token the thread of trust between them.
-struct DriftLeaseSubject {
-  std::unique_ptr<locks::TimedLease> lease;
-  std::unique_ptr<lockspace::LockSpace> space;
-  u64 key = 0;
-};
-using DriftLeaseFactory = std::function<DriftLeaseSubject(rma::World&)>;
-
-/// Explores `config.schedules` schedules of a reader/writer workload.
-CheckReport check_rw(const CheckConfig& config, const RwLockFactory& factory);
-
-/// Explores `config.schedules` schedules of an all-writers workload.
-CheckReport check_exclusive(const CheckConfig& config,
-                            const ExclusiveLockFactory& factory);
-
-/// Explores `config.schedules` schedules of a crash/recovery workload over
-/// a lease lock: every process declares a crash point before each acquire
-/// and one inside each critical section (armed iff config.max_crashes > 0),
-/// so an owner can die holding the lease and survivors must reclaim it.
-/// Checked properties: "never two owners in one epoch" (EpochMonitor,
-/// folded into mutex_violations) and recovery liveness — a survivor stuck
-/// forever on an unreclaimable lease surfaces as an engine deadlock.
-CheckReport check_lease(const CheckConfig& config,
-                        const LeaseLockFactory& factory);
-
-/// Explores `config.schedules` schedules of a keyed LockSpace workload:
-/// process p's i-th acquisition targets keys[(p + i) % keys.size()]
-/// (writers per config roles; readers use shared mode on RW backends).
-/// Checked properties: per-key mutual exclusion (one CsMonitor per key),
-/// deadlock freedom, and cross-key independence — the report counts
-/// schedules where two distinct keys were held at once
-/// (cross_key_overlap_schedules), which the campaigns assert is nonzero.
-CheckReport check_lockspace(const CheckConfig& config,
-                            const LockSpaceFactory& factory,
-                            const std::vector<u64>& keys);
-
-/// Explores `config.schedules` schedules of the versioned optimistic-read
-/// workload over a payload-capable LockSpace (the space `factory` builds
-/// must have payload_words > 0): writers (per config roles) take the write
-/// lock and publish an all-words-equal payload stamped with the key's next
-/// generation; readers call optimistic_read lock-free. Checked properties:
-/// per-key write-side mutual exclusion (CsMonitor), deadlock freedom, and
-/// snapshot consistency — every returned payload must be non-increasing
-/// along the word index (OptimisticReadMonitor; see mc/monitor.hpp for why
-/// that is exactly "no un-validated torn read"). Violations of either fold
-/// into mutex_violations. Arm config.max_tears, or the planted
-/// skip_read_validation bug stays invisible — that false negative is itself
-/// a campaign mc_verification runs on purpose.
-CheckReport check_optimistic(const CheckConfig& config,
-                             const LockSpaceFactory& factory,
-                             const std::vector<u64>& keys);
-
-/// Explores `config.schedules` schedules of the timed-acquire workload:
-/// every process runs config.timeout_retry_rounds rounds of
-/// try_acquire_for with an acquire_timeout_ns deadline and config.retry,
-/// entering/leaving a CS on success and moving on on timeout. Checked
-/// properties: mutual exclusion (CsMonitor), deadlock freedom, and
-/// bounded-retry progress (LivelockMonitor, folded into
-/// livelock_violations) — the property the planted no-backoff retry policy
-/// violates under a straggler schedule. Arm the gray-failure knobs
-/// (max_delays / max_partitions) to exercise the paths the deadlines
-/// exist for.
-CheckReport check_timeout(const CheckConfig& config,
-                          const ExclusiveLockFactory& factory);
-
-/// Explores `config.schedules` schedules of the wall-clock lease workload:
-/// every process repeatedly takes the timed lease (acquire_token), then —
-/// while still_valid() on its own clock — publishes token-stamped payloads
-/// through LockSpace::write_payload_fenced, and releases. Checked
-/// properties (WallClockLeaseMonitor, folded into mutex_violations):
-/// never two believing writers at once, and never an accepted write with a
-/// stale token; plus deadlock freedom. Arm config.max_drift_events, or the
-/// planted safety_margin_ns = 0 and skip_token_check bugs stay invisible —
-/// under perfect clocks a margin-0 lease is actually safe, the false
-/// negative the drift model exists to prevent.
-CheckReport check_drift(const CheckConfig& config,
-                        const DriftLeaseFactory& factory);
-
-/// Explores `config.schedules` schedules of the re-homing workload over a
-/// rehome-capable LockSpace (the space `factory` builds must have
-/// rehome_epochs >= 1 and an exclusive backend): every process runs keyed
-/// timed acquires (as in check_timeout); the highest rank additionally
-/// migrates the first key's shard to its successor home mid-run
-/// (rehome_shard). Checked properties: per-key mutual exclusion across
-/// migration planes — one CsMonitor per key, so an old-plane owner
-/// coexisting with a new-plane owner is a mutex violation (exactly what
-/// the planted rehome_skip_fence bug admits) — plus deadlock freedom and
-/// bounded-retry progress.
-CheckReport check_rehome(const CheckConfig& config,
-                         const LockSpaceFactory& factory,
-                         const std::vector<u64>& keys);
-
-/// First `k` keys (scanning upward from 0) that resolve to pairwise
-/// distinct slots of the space `factory` builds — the keys a small-config
-/// campaign uses so "different keys" provably means "different physical
-/// locks". Probes a scratch SimWorld over `topology`.
-std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,
-                                      const topo::Topology& topology, i32 k);
-
-// --- single-schedule building blocks ---------------------------------------
-// Shared by the randomized loops above, the bounded-exhaustive explorer
-// (mc/explorer.hpp), trace replay (mc_verification --replay), and tests.
-
 /// Outcome of one checked schedule.
 struct ScheduleOutcome {
   rma::RunResult run;
@@ -334,9 +189,122 @@ struct ScheduleOutcome {
   }
 };
 
+using RwLockFactory =
+    std::function<std::unique_ptr<locks::RwLock>(rma::World&)>;
+using ExclusiveLockFactory =
+    std::function<std::unique_ptr<locks::ExclusiveLock>(rma::World&)>;
+using LockSpaceFactory =
+    std::function<std::unique_ptr<lockspace::LockSpace>(rma::World&)>;
+using LeaseLockFactory =
+    std::function<std::unique_ptr<locks::LeaseExclusive>(rma::World&)>;
+
+/// Subject of the clock-drift workload (drift_workload): one timed lease
+/// guarding one payload key of a payload-capable LockSpace — the lease is
+/// the *permission*, the space's versioned payload the *resource*, and the
+/// grant token the thread of trust between them.
+struct DriftLeaseSubject {
+  std::unique_ptr<locks::TimedLease> lease;
+  std::unique_ptr<lockspace::LockSpace> space;
+  u64 key = 0;
+};
+using DriftLeaseFactory = std::function<DriftLeaseSubject(rma::World&)>;
+
+/// A checked workload: one schedule body bound to its subject factory and
+/// its monitors. check, check_exhaustive and trace replay all run it.
+struct Workload {
+  /// Runs one schedule under `opts`: builds one subject in a fresh
+  /// SimWorld, runs the body on every rank, and reads the monitors.
+  std::function<ScheduleOutcome(const CheckConfig&, const rma::SimOptions&)>
+      run;
+};
+
+/// Reader/writer workload: each process (a writer or a reader per config
+/// roles) takes the lock acquires_per_proc times. Checked: mutual exclusion
+/// (CsMonitor) and deadlock freedom.
+Workload rw_workload(RwLockFactory factory);
+
+/// All-writers workload over an exclusive lock; same properties.
+Workload exclusive_workload(ExclusiveLockFactory factory);
+
+/// Crash/recovery workload over a lease lock: every process declares a
+/// crash point before each acquire and one inside each critical section
+/// (armed iff config.max_crashes > 0), so an owner can die holding the
+/// lease and survivors must reclaim it. Checked: "never two owners in one
+/// epoch" (EpochMonitor, folded into mutex_violations) and recovery
+/// liveness — a survivor stuck forever on an unreclaimable lease surfaces
+/// as an engine deadlock.
+Workload lease_workload(LeaseLockFactory factory);
+
+/// Keyed LockSpace workload: process p's i-th acquisition targets
+/// keys[(p + i) % keys.size()] (writers per config roles; readers use
+/// shared mode on RW backends). Checked: per-key mutual exclusion (one
+/// CsMonitor per key), deadlock freedom, and cross-key independence — the
+/// report counts schedules where two distinct keys were held at once
+/// (cross_key_overlap_schedules).
+Workload lockspace_workload(LockSpaceFactory factory, std::vector<u64> keys);
+
+/// Versioned optimistic-read workload over a payload-capable LockSpace
+/// (payload_words > 0): writers (per config roles) take the write lock and
+/// publish an all-words-equal payload stamped with the key's next
+/// generation; readers call optimistic_read lock-free. Checked: per-key
+/// write-side mutual exclusion, deadlock freedom, and snapshot consistency
+/// — every returned payload must be non-increasing along the word index
+/// (OptimisticReadMonitor; see mc/monitor.hpp for why that is exactly "no
+/// un-validated torn read"). Both fold into mutex_violations. Arm
+/// config.max_tears, or the planted skip_read_validation bug stays
+/// invisible.
+Workload optimistic_workload(LockSpaceFactory factory, std::vector<u64> keys);
+
+/// Timed-acquire workload: every process runs config.timeout_retry_rounds
+/// rounds of try_acquire_for with a kAcquireTimeoutNs deadline and
+/// config.retry, entering a CS on success and moving on on timeout.
+/// Checked: mutual exclusion, deadlock freedom, and bounded-retry progress
+/// (LivelockMonitor, folded into livelock_violations) — the property the
+/// planted no-backoff retry policy violates under a straggler schedule.
+/// Arm max_delays / max_partitions to exercise the paths the deadlines
+/// exist for.
+Workload timeout_workload(ExclusiveLockFactory factory);
+
+/// Wall-clock lease workload: every process repeatedly takes the timed
+/// lease (acquire_token), then — while still_valid() on its own clock —
+/// publishes token-stamped payloads through
+/// LockSpace::write_payload_fenced, and releases. Checked
+/// (WallClockLeaseMonitor, folded into mutex_violations): never two
+/// believing writers at once, and never an accepted write with a stale
+/// token; plus deadlock freedom. Arm config.max_drift_events, or the
+/// planted safety_margin_ns = 0 and skip_token_check bugs stay invisible.
+/// Run it under kVirtualTime: belief intervals are only comparable on the
+/// virtual-time timeline.
+Workload drift_workload(DriftLeaseFactory factory);
+
+/// Re-homing workload over a rehome-capable LockSpace (rehome_epochs >= 1,
+/// exclusive backend): every process runs keyed timed acquires (as in
+/// timeout_workload); the highest rank additionally migrates the first
+/// key's shard to its successor home mid-run (rehome_shard). Checked:
+/// per-key mutual exclusion across migration planes — an old-plane owner
+/// coexisting with a new-plane owner is a mutex violation (exactly what the
+/// planted rehome_skip_fence bug admits) — plus deadlock freedom and
+/// bounded-retry progress.
+Workload rehome_workload(LockSpaceFactory factory, std::vector<u64> keys);
+
+/// Explores `config.schedules` randomized schedules of `workload` under
+/// config.policy.
+CheckReport check(const CheckConfig& config, const Workload& workload);
+
+/// First `k` keys (scanning upward from 0) that resolve to pairwise
+/// distinct slots of the space `factory` builds — the keys a small-config
+/// campaign uses so "different keys" provably means "different physical
+/// locks". Probes a scratch SimWorld over `topology`.
+std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,
+                                      const topo::Topology& topology, i32 k);
+
+// --- single-schedule building blocks ---------------------------------------
+// Shared by check, the bounded-exhaustive explorer (mc/explorer.hpp), trace
+// replay (mc_verification --replay), and tests.
+
 /// SimOptions for the `schedule`-th randomized schedule of `config`
 /// (world seed = mix_seed(base_seed, schedule), zero-latency network,
-/// deadlocks reported instead of aborting, recording per config).
+/// deadlocks reported instead of aborting, nothing recorded).
 [[nodiscard]] rma::SimOptions schedule_options(const CheckConfig& config,
                                                u64 schedule);
 
@@ -345,41 +313,6 @@ struct ScheduleOutcome {
 [[nodiscard]] rma::SimOptions replay_options(const CheckConfig& config,
                                              u64 world_seed,
                                              const rma::ScheduleTrace& trace);
-
-/// Runs one reader/writer (resp. all-writers) schedule under `opts`.
-ScheduleOutcome run_rw_schedule(const CheckConfig& config,
-                                const RwLockFactory& factory,
-                                const rma::SimOptions& opts);
-ScheduleOutcome run_exclusive_schedule(const CheckConfig& config,
-                                       const ExclusiveLockFactory& factory,
-                                       const rma::SimOptions& opts);
-/// Runs one crash/recovery lease schedule (see check_lease) under `opts`.
-ScheduleOutcome run_lease_schedule(const CheckConfig& config,
-                                   const LeaseLockFactory& factory,
-                                   const rma::SimOptions& opts);
-/// Runs one keyed LockSpace schedule (see check_lockspace) under `opts`.
-ScheduleOutcome run_lockspace_schedule(const CheckConfig& config,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       const rma::SimOptions& opts);
-/// Runs one optimistic-read schedule (see check_optimistic) under `opts`.
-ScheduleOutcome run_optimistic_schedule(const CheckConfig& config,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        const rma::SimOptions& opts);
-/// Runs one timed-acquire schedule (see check_timeout) under `opts`.
-ScheduleOutcome run_timeout_schedule(const CheckConfig& config,
-                                     const ExclusiveLockFactory& factory,
-                                     const rma::SimOptions& opts);
-/// Runs one wall-clock lease schedule (see check_drift) under `opts`.
-ScheduleOutcome run_drift_schedule(const CheckConfig& config,
-                                   const DriftLeaseFactory& factory,
-                                   const rma::SimOptions& opts);
-/// Runs one re-homing schedule (see check_rehome) under `opts`.
-ScheduleOutcome run_rehome_schedule(const CheckConfig& config,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    const rma::SimOptions& opts);
 
 /// Accumulates one schedule's outcome into the campaign counters.
 void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome);

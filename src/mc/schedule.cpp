@@ -1,6 +1,7 @@
 #include "mc/schedule.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -50,6 +51,53 @@ bool parse_policy(const std::string& name, rma::SchedPolicy* out) {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+/// Reads the next whitespace-delimited field into `out`; false if it is
+/// missing, malformed, out of range for T, or followed by junk.
+template <typename T>
+bool read_field(std::istream& fields, T* out) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads every remaining field of a line, in order; false if any fails.
+template <typename... T>
+bool read_fields(std::istream& fields, T*... out) {
+  return (read_field(fields, out) && ...);
+}
+
+/// Parses a "topology" line's fields, rejecting process counts above
+/// kMaxTraceProcs before anything multiplies them.
+bool parse_topology(std::istream& fields, topo::Topology* out) {
+  std::string fanout_spec;
+  i32 procs_per_leaf = 0;
+  if (!(fields >> fanout_spec) || !read_field(fields, &procs_per_leaf) ||
+      procs_per_leaf < 1 || procs_per_leaf > kMaxTraceProcs) {
+    return false;
+  }
+  std::vector<i32> fanouts;
+  i32 procs = procs_per_leaf;
+  if (fanout_spec != "-") {
+    std::istringstream spec(fanout_spec);
+    i32 fanout = 0;
+    while (spec.peek() != EOF) {
+      std::string item;
+      std::getline(spec, item, ',');
+      std::istringstream one(item);
+      if (!read_field(one, &fanout) || fanout < 1 ||
+          fanout > kMaxTraceProcs / procs) {
+        return false;
+      }
+      procs *= fanout;
+      fanouts.push_back(fanout);
+    }
+  }
+  *out = topo::Topology::uniform(std::move(fanouts), procs_per_leaf);
+  return true;
 }
 
 }  // namespace
@@ -125,6 +173,8 @@ bool parse_trace(const std::string& text, TraceCase* out, std::string* error) {
     std::istringstream fields(line);
     std::string key;
     if (!(fields >> key)) continue;  // blank line
+    bool ok = true;
+    // Free-form strings (workload, lock, kind, roles) may be empty.
     if (key == "workload") {
       fields >> out->workload;
     } else if (key == "lock") {
@@ -133,74 +183,51 @@ bool parse_trace(const std::string& text, TraceCase* out, std::string* error) {
     } else if (key == "kind") {
       fields >> out->kind;
     } else if (key == "topology") {
-      std::string fanout_spec;
-      i32 procs_per_leaf = 0;
-      if (!(fields >> fanout_spec >> procs_per_leaf) || procs_per_leaf < 1) {
-        return fail(error, "bad topology line: " + line);
-      }
-      std::vector<i32> fanouts;
-      if (fanout_spec != "-") {
-        std::istringstream spec(fanout_spec);
-        std::string item;
-        while (std::getline(spec, item, ',')) {
-          const int fanout = std::atoi(item.c_str());
-          if (fanout < 1) return fail(error, "bad fanout: " + item);
-          fanouts.push_back(fanout);
-        }
-      }
-      out->topology = topo::Topology::uniform(fanouts, procs_per_leaf);
+      ok = parse_topology(fields, &out->topology);
     } else if (key == "policy") {
       std::string name;
-      fields >> name;
-      if (!parse_policy(name, &out->recorded_policy)) {
-        return fail(error, "unknown policy: " + name);
-      }
+      ok = (fields >> name) && parse_policy(name, &out->recorded_policy);
     } else if (key == "seed") {
-      fields >> out->world_seed;
+      ok = read_field(fields, &out->world_seed);
     } else if (key == "acquires") {
-      fields >> out->acquires_per_proc;
+      ok = read_field(fields, &out->acquires_per_proc);
     } else if (key == "writer_fraction") {
-      fields >> out->writer_fraction;
+      ok = read_field(fields, &out->writer_fraction);
     } else if (key == "roles") {
       std::string bits;
       fields >> bits;
       out->writer_roles.clear();
       for (const char c : bits) {
-        if (c != '0' && c != '1') return fail(error, "bad roles line: " + line);
+        ok = ok && (c == '0' || c == '1');
         out->writer_roles.push_back(c == '1');
       }
     } else if (key == "max_steps") {
-      fields >> out->max_steps;
+      ok = read_field(fields, &out->max_steps);
     } else if (key == "crashes") {
       i32 restart = 0;
       i32 adversarial = 0;
-      if (!(fields >> out->max_crashes >> out->crash_chance_permille >>
-            restart >> adversarial)) {
-        return fail(error, "bad crashes line: " + line);
-      }
+      ok = read_fields(fields, &out->max_crashes, &out->crash_chance_permille,
+                       &restart, &adversarial);
       out->restart_crashed = restart != 0;
       out->adversarial_suspicion = adversarial != 0;
     } else if (key == "tears") {
-      if (!(fields >> out->max_tears >> out->tear_chance_permille)) {
-        return fail(error, "bad tears line: " + line);
-      }
+      ok = read_fields(fields, &out->max_tears, &out->tear_chance_permille);
     } else if (key == "delays") {
-      if (!(fields >> out->max_delays >> out->delay_chance_permille >>
-            out->delay_factor)) {
-        return fail(error, "bad delays line: " + line);
-      }
+      ok = read_fields(fields, &out->max_delays, &out->delay_chance_permille,
+                       &out->delay_factor);
     } else if (key == "partitions") {
-      if (!(fields >> out->max_partitions >> out->partition_span)) {
-        return fail(error, "bad partitions line: " + line);
-      }
+      ok = read_fields(fields, &out->max_partitions, &out->partition_span);
     } else if (key == "drift") {
-      if (!(fields >> out->max_drift_events >> out->drift_chance_permille >>
-            out->max_drift_permille >> out->skew_window)) {
-        return fail(error, "bad drift line: " + line);
-      }
+      ok = read_fields(fields, &out->max_drift_events,
+                       &out->drift_chance_permille, &out->max_drift_permille,
+                       &out->skew_window);
     } else if (key == "picks") {
+      // Every pick takes at least one byte of input: a larger count is
+      // malformed, and bounding it first keeps the reserve below in check.
       usize count = 0;
-      if (!(fields >> count)) return fail(error, "bad picks count");
+      if (!read_field(fields, &count) || count > text.size()) {
+        return fail(error, "bad picks count: " + line);
+      }
       out->trace.picks.clear();
       out->trace.picks.reserve(count);
       // Picks may span lines: read from the underlying stream.
@@ -215,6 +242,7 @@ bool parse_trace(const std::string& text, TraceCase* out, std::string* error) {
       }
     }
     // Unknown keys: ignored (forward compatibility).
+    if (!ok) return fail(error, "bad " + key + " line: " + line);
   }
   if (!out->writer_roles.empty() &&
       out->writer_roles.size() !=

@@ -5,18 +5,13 @@
 // (rma::ScheduleTrace). This module makes that pair a first-class artifact:
 //
 //   * TraceCase bundles a trace with everything needed to re-execute it —
-//     topology, world seed, workload shape, crash- and torn-read-injection
-//     knobs — in a line-oriented text format. The magic is "rmalock-trace
-//     v5" only when the clock-drift model is armed (a "drift" line is then
-//     present), "rmalock-trace v4" only when the gray-failure model is
-//     armed ("delays"/"partitions" lines then present), and "rmalock-trace
-//     v3" only when the torn-read fault model is armed (a "tears" line is
-//     then present); unarmed cases keep serializing byte-identically as v2,
-//     and v1 files (which predate the crash model) still parse. Crash decisions live in the same picks
-//     stream as scheduling decisions, encoded as -(rank + 2); torn-read
-//     decisions as -(P + 2 + k) for a tear after a k-word prefix;
-//     gray-failure decisions in disjoint ranges below the tear span (see
-//     rma::ScheduleTrace).
+//     topology, world seed, workload shape, and the fault knobs — in a
+//     line-oriented text format. A disarmed fault class writes no line, and
+//     the magic names the newest class armed: "rmalock-trace v5" with drift
+//     (a "drift" line), v4 with the gray model ("delays"/"partitions"), v3
+//     with tears ("tears"), v2 otherwise; v1 files (which predate the crash
+//     model) still parse. Fault decisions live in the picks stream as
+//     negative picks (encoding: rma/faults.hpp).
 //   * shrink_trace() reduces a failing trace to a minimal counterexample
 //     with the classic delta-debugging loop (Zeller & Hildebrandt's ddmin):
 //     first the shortest failing prefix (violations are detected during
@@ -35,10 +30,11 @@
 namespace rmalock::mc {
 
 /// A self-contained, serializable repro case: one recorded schedule plus the
-/// workload parameters needed to re-execute it. `workload` is a free-form id
-/// the producing binary understands (mc_verification maps it back to a lock
-/// factory); everything else is interpreted by the checker itself.
-struct TraceCase {
+/// workload parameters and fault knobs (rma::FaultKnobs) needed to
+/// re-execute it. `workload` is a free-form id the producing binary
+/// understands (mc_verification maps it back to a workload); everything
+/// else is interpreted by the checker itself.
+struct TraceCase : rma::FaultKnobs {
   std::string workload;    // producer-defined workload id (e.g. "ex:rma-mcs")
   std::string lock_name;   // informational: Lock::name() of the subject
   std::string kind;        // violation kind: "mutex", "deadlock", or "none"
@@ -51,44 +47,23 @@ struct TraceCase {
   /// drawn from (world_seed, rank) with writer_fraction.
   std::vector<bool> writer_roles;
   u64 max_steps = 0;
-  /// Crash-injection knobs of the recorded run (SimOptions equivalents);
-  /// max_crashes == 0 means the run had no crash model and the trace is a
-  /// plain v1-compatible schedule.
-  i32 max_crashes = 0;
-  u32 crash_chance_permille = 500;
-  bool restart_crashed = false;
-  bool adversarial_suspicion = false;
-  /// Torn-read knobs of the recorded run (SimOptions equivalents);
-  /// max_tears == 0 means the torn-read fault model was off and the trace
-  /// serializes in the pre-tear (v2) format.
-  i32 max_tears = 0;
-  u32 tear_chance_permille = 500;
-  /// Gray-failure knobs of the recorded run (SimOptions equivalents);
-  /// max_delays == max_partitions == 0 means the gray model was off and the
-  /// trace serializes in the pre-gray (v3 or earlier) format.
-  i32 max_delays = 0;
-  u32 delay_chance_permille = 200;
-  i64 delay_factor = 16;
-  i32 max_partitions = 0;
-  Nanos partition_span = 50'000;
-  /// Clock-drift knobs of the recorded run (SimOptions equivalents);
-  /// max_drift_events == 0 means the clock model was off and the trace
-  /// serializes in the pre-drift (v4 or earlier) format.
-  i32 max_drift_events = 0;
-  u32 drift_chance_permille = 200;
-  u32 max_drift_permille = 200;
-  Nanos skew_window = 2'000;
   rma::ScheduleTrace trace;
 };
+
+/// Largest process count a trace file may declare: well above the 1024 the
+/// benches run, small enough that replaying it stays within memory.
+inline constexpr i32 kMaxTraceProcs = 4096;
 
 /// Human-readable policy name ("virtual-time"/"random"/"pct"/"replay").
 [[nodiscard]] const char* policy_name(rma::SchedPolicy policy);
 
-/// Renders a TraceCase in the "rmalock-trace v1" text format.
+/// Renders a TraceCase in the "rmalock-trace" text format.
 [[nodiscard]] std::string serialize_trace(const TraceCase& c);
 
 /// Parses serialize_trace() output. Returns false (and sets *error when
-/// non-null) on malformed input; unknown keys are ignored for forward
+/// non-null) on malformed input — a known key whose value does not parse,
+/// a topology over kMaxTraceProcs processes, a picks count beyond the
+/// input — and never throws; unknown keys are ignored for forward
 /// compatibility.
 bool parse_trace(const std::string& text, TraceCase* out, std::string* error);
 

@@ -332,7 +332,6 @@ void SimWorld::fiber_body(Rank rank) {
     // next picks this rank, so the downtime window is an ordinary
     // scheduling decision. Then reboot and re-run the body from the top.
     Proc& self = *procs_[static_cast<usize>(rank)];
-    self.clock += opts_.restart_delay_ns;
     try {
       yield_cpu(rank);
     } catch (const StopRun&) {
@@ -908,27 +907,7 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
   }
 
   for (;;) {
-    // Drift model: with the clock budget armed, every remote op is an
-    // explorable decision to re-anchor the caller's local clock map before
-    // the op — mirroring the armed gray structure below. Unarmed (or budget
-    // spent) ops make no decision and add no trace entry, keeping
-    // pre-drift-model traces bit-compatible.
-    if (dclass != 0 && drift_armed()) {
-      bump_step(origin);
-      decide_drift(origin);
-    }
-    // Gray model: with a fault budget armed, every remote op is an
-    // explorable fault decision (straggler delay / transient partition)
-    // before the op itself — mirroring the armed-get_vec tear structure.
-    // Unarmed (or budget spent) ops make no decision and add no trace
-    // entry, keeping pre-gray-model traces bit-compatible.
-    Nanos cost = opts_.latency.op_cost(kind, dclass);
-    if (dclass != 0 && gray_armed()) {
-      bump_step(origin);
-      if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-        cost *= opts_.delay_factor;
-      }
-    }
+    const Nanos cost = remote_op_faults(origin, target, kind, dclass);
     bump_step(origin);
     self.stats.record(kind, dclass);
     RMALOCK_DCHECK(offset >= 0 &&
@@ -938,38 +917,24 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
     // Cost accounting: a blocking op charges full end-to-end latency at the
     // op; a nonblocking op charges the origin only its injection slot here
     // and defers the rest to flush. Remote ops of either mode queue in the
-    // target's NIC (contention model). A partitioned target additionally
-    // stalls arrivals until its window closes (partition_until_ is all-zero
-    // when the gray model is unarmed, making the max a no-op).
+    // target's NIC (contention model).
     Nanos completion;  // when the op takes effect at the target
     if (dclass == 0) {
       // Self access: no pipelining win to model; both modes charge the op.
       self.clock += cost;
       completion = self.clock;
-    } else if (mode == IssueMode::kNonblocking) {
-      const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-      // The request departs now; the origin's NIC stays busy for one
-      // injection slot (that slot overlaps the wire time — it is what
-      // serializes a burst of issues, not what delays each request).
-      const Nanos arrival =
-          std::max(self.clock + cost / 2,
-                   partition_until_[static_cast<usize>(target)]);
-      self.clock += occupancy;
-      const Nanos start =
-          std::max(arrival, nic_free_[static_cast<usize>(target)]);
-      nic_free_[static_cast<usize>(target)] = start + occupancy;
-      completion = start + occupancy;
-      note_pending_ack(self, target, completion + (cost - cost / 2));
     } else {
       const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-      const Nanos arrival =
-          std::max(self.clock + cost / 2,
-                   partition_until_[static_cast<usize>(target)]);
-      const Nanos start =
-          std::max(arrival, nic_free_[static_cast<usize>(target)]);
-      nic_free_[static_cast<usize>(target)] = start + occupancy;
-      completion = start + occupancy;
-      self.clock = completion + (cost - cost / 2);
+      completion = book_nic(target, self.clock + cost / 2, occupancy);
+      if (mode == IssueMode::kNonblocking) {
+        // The request departs now; the origin's NIC stays busy for one
+        // injection slot (that slot overlaps the wire time — it is what
+        // serializes a burst of issues, not what delays each request).
+        self.clock += occupancy;
+        note_pending_ack(self, target, completion + (cost - cost / 2));
+      } else {
+        self.clock = completion + (cost - cost / 2);
+      }
     }
 
     bool wrote = false;
@@ -999,48 +964,6 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
   }
 }
 
-usize SimWorld::decide_tear(Rank origin, usize n) {
-  usize split = 0;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      for (usize k = 1; k < n; ++k) {
-        if (pick == tear_pick(k)) {
-          split = k;
-          break;
-        }
-      }
-      // A pick naming neither outcome (shrunk/edited trace) falls back to
-      // the atomic read, counted like any other divergence.
-      if (split == 0 && pick != origin) ++result_.replay_divergences;
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call:
-      // tear_pick(n-1) < ... < tear_pick(1) < origin. The caller's own rank
-      // is the atomic-read choice, so every tear placement costs the
-      // explorer one preemption — tear-free schedules are explored first.
-      std::vector<Rank> candidates;
-      candidates.reserve(n);
-      for (usize k = n - 1; k >= 1; --k) candidates.push_back(tear_pick(k));
-      candidates.push_back(origin);
-      const Rank pick = opts_.pick_hook(candidates);
-      for (usize k = 1; k < n; ++k) {
-        if (pick == tear_pick(k)) {
-          split = k;
-          break;
-        }
-      }
-    }
-  } else {
-    if (sched_rng_.below(1000) < opts_.tear_chance_permille) {
-      split = 1 + static_cast<usize>(sched_rng_.below(n - 1));
-    }
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(split == 0 ? origin : tear_pick(split));
-  }
-  return split;
-}
-
 void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
                                i64* out, usize n) {
   check_stop(origin);
@@ -1059,33 +982,27 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
                      windows_[static_cast<usize>(target)].size());
   const i32 dclass = dclass_of(origin, target);
 
-  // Drift then gray fault decisions first, mirroring execute_op's armed
-  // remote path.
-  if (dclass != 0 && drift_armed()) {
-    bump_step(origin);
-    decide_drift(origin);
-  }
-  Nanos cost = opts_.latency.op_cost(OpKind::kGet, dclass);
-  if (dclass != 0 && gray_armed()) {
-    bump_step(origin);
-    if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-      cost *= opts_.delay_factor;
-    }
-  }
+  const Nanos cost = remote_op_faults(origin, target, OpKind::kGet, dclass);
 
   usize split = 0;
-  if (opts_.max_tears > 0 &&
-      result_.tears < static_cast<u64>(opts_.max_tears)) {
+  if (budget_left(opts_.max_tears, result_.tears)) {
     // Armed: the tear/no-tear choice is an explorable decision like a crash
-    // point. Unarmed (or budget spent) get_vec makes no decision and adds
-    // no trace entry, keeping pre-tear-model traces bit-compatible. The
-    // reserved tear-pick span bounds the payload size so tear picks can
-    // never collide with the gray-failure picks below them.
+    // point. The reserved tear-pick span bounds the payload size so tear
+    // picks can never collide with the gray-failure picks below them.
     RMALOCK_CHECK_MSG(n - 1 <= static_cast<usize>(kTearPickSpan),
                       "get_vec of " << n << " words exceeds the tear-pick "
                       "span (" << kTearPickSpan << ") with tears armed");
     bump_step(origin);
-    split = decide_tear(origin, n);
+    // Candidates ascending: a tear after n-1 words first, after 1 word last.
+    std::array<Rank, kTearPickSpan> tears{};
+    for (usize i = 0; i + 1 < n; ++i) {
+      tears[i] = fault_pick(FaultKind::kTear, static_cast<i32>(n - 1 - i));
+    }
+    const Rank pick = decide_fault(origin, opts_.tear_chance_permille,
+                                   {tears.data(), n - 1}, /*draw_sole=*/true);
+    if (pick != origin) {
+      split = static_cast<usize>(fault_pick(FaultKind::kTear, 0) - pick);
+    }
   }
 
   bump_step(origin);
@@ -1097,13 +1014,8 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
     self.clock += cost;
   } else {
     const Nanos occupancy = opts_.latency.occupancy(OpKind::kGet, dclass);
-    const Nanos arrival =
-        std::max(self.clock + cost / 2,
-                 partition_until_[static_cast<usize>(target)]);
-    const Nanos start =
-        std::max(arrival, nic_free_[static_cast<usize>(target)]);
-    nic_free_[static_cast<usize>(target)] = start + occupancy;
-    self.clock = start + occupancy + (cost - cost / 2);
+    self.clock = book_nic(target, self.clock + cost / 2, occupancy) +
+                 (cost - cost / 2);
   }
 
   // A vectored read is not a spin primitive (validated-read protocols retry
@@ -1129,108 +1041,99 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   yield_cpu(origin);
 }
 
-SimWorld::GrayOutcome SimWorld::decide_gray(Rank origin, Rank target) {
-  const bool delay_ok =
-      opts_.max_delays > 0 && result_.delays < static_cast<u64>(opts_.max_delays);
-  const bool part_ok = opts_.max_partitions > 0 &&
-                       result_.partitions <
-                           static_cast<u64>(opts_.max_partitions);
-  GrayOutcome outcome = GrayOutcome::kNone;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      if (delay_ok && pick == delay_pick(origin)) {
-        outcome = GrayOutcome::kDelay;
-      } else if (part_ok && pick == part_pick(target)) {
-        outcome = GrayOutcome::kPartition;
-      } else if (pick != origin) {
-        // A pick naming neither outcome (shrunk/edited trace) falls back to
-        // the fault-free completion, counted like any other divergence.
-        ++result_.replay_divergences;
-      }
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call:
-      // part_pick(target) < delay_pick(origin) < origin. The caller's own
-      // rank is the fault-free choice, so every injected fault costs the
-      // explorer one preemption — fault-free schedules are explored first.
-      std::vector<Rank> candidates;
-      candidates.reserve(3);
-      if (part_ok) candidates.push_back(part_pick(target));
-      if (delay_ok) candidates.push_back(delay_pick(origin));
-      candidates.push_back(origin);
-      const Rank pick = opts_.pick_hook(candidates);
-      if (delay_ok && pick == delay_pick(origin)) {
-        outcome = GrayOutcome::kDelay;
-      } else if (part_ok && pick == part_pick(target)) {
-        outcome = GrayOutcome::kPartition;
-      }
+Rank SimWorld::decide_fault(Rank origin, u32 chance_permille,
+                            std::span<const Rank> faults, bool draw_sole) {
+  const auto offered = [&faults](Rank pick) {
+    return std::find(faults.begin(), faults.end(), pick) != faults.end();
+  };
+  Rank pick = origin;
+  if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
+    // Honored under every policy: virtual-time campaigns record ONLY fault
+    // picks (their schedule is deterministic), so their traces replay
+    // under kVirtualTime with the picks consumed right here.
+    const Rank recorded = opts_.replay->picks[replay_pos_++];
+    if (offered(recorded)) {
+      pick = recorded;
+    } else if (recorded != origin) {
+      // A pick naming neither outcome (shrunk/edited trace) falls back to
+      // no fault, counted like any other divergence.
+      ++result_.replay_divergences;
     }
-  } else {
-    // Stochastic policies share one fault draw (delay_chance_permille);
-    // when both budgets remain a second draw picks which fault fires.
-    if (sched_rng_.below(1000) < opts_.delay_chance_permille) {
-      if (delay_ok && part_ok) {
-        outcome = sched_rng_.below(2) == 0 ? GrayOutcome::kDelay
-                                           : GrayOutcome::kPartition;
-      } else {
-        outcome = delay_ok ? GrayOutcome::kDelay : GrayOutcome::kPartition;
-      }
+  } else if (opts_.pick_hook) {
+    // Candidates ascending like every hook call, the caller's own rank (no
+    // fault) last: every injected fault costs the explorer one preemption,
+    // so fault-free schedules are explored first. Consulted under any
+    // policy: the exhaustive explorer may keep kVirtualTime scheduling and
+    // drive only the fault decisions.
+    std::vector<Rank> candidates(faults.begin(), faults.end());
+    candidates.push_back(origin);
+    const Rank chosen = opts_.pick_hook(candidates);
+    if (offered(chosen)) pick = chosen;
+  } else if (opts_.replay == nullptr &&
+             opts_.policy != SchedPolicy::kReplay &&
+             sched_rng_.below(1000) < chance_permille) {
+    // A replay never draws: past its trace it takes no fault, like the
+    // smallest-rank fallback of its scheduling decisions.
+    usize index = faults.size() - 1;
+    if (faults.size() > 1 || draw_sole) {
+      index -= static_cast<usize>(sched_rng_.below(faults.size()));
+    }
+    pick = faults[index];
+  }
+  if (opts_.record_schedule) result_.schedule.picks.push_back(pick);
+  return pick;
+}
+
+Nanos SimWorld::remote_op_faults(Rank origin, Rank target, OpKind kind,
+                                 i32 dclass) {
+  Nanos cost = opts_.latency.op_cost(kind, dclass);
+  if (dclass == 0) return cost;
+  // Each armed class is one explorable decision (and one engine step)
+  // before the op. Unarmed or spent budgets make no decision and record no
+  // pick, keeping traces from before the class existed bit-compatible.
+  if (budget_left(opts_.max_drift_events, result_.drift_events)) {
+    bump_step(origin);
+    const Rank drift = fault_pick(FaultKind::kDrift, origin);
+    if (decide_fault(origin, opts_.drift_chance_permille, {&drift, 1}) ==
+        drift) {
+      apply_drift(origin);
     }
   }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(outcome == GrayOutcome::kDelay
-                                         ? delay_pick(origin)
-                                     : outcome == GrayOutcome::kPartition
-                                         ? part_pick(target)
-                                         : origin);
-  }
-  if (outcome == GrayOutcome::kDelay) {
+  const bool delay_ok = budget_left(opts_.max_delays, result_.delays);
+  const bool part_ok = budget_left(opts_.max_partitions, result_.partitions);
+  if (!delay_ok && !part_ok) return cost;
+  bump_step(origin);
+  // Candidates ascending: partition picks sit below delay picks. Both
+  // classes share one chance draw.
+  const Rank partition = fault_pick(FaultKind::kPartition, target);
+  const Rank delay = fault_pick(FaultKind::kDelay, origin);
+  std::array<Rank, 2> faults{};
+  usize n = 0;
+  if (part_ok) faults[n++] = partition;
+  if (delay_ok) faults[n++] = delay;
+  const Rank pick =
+      decide_fault(origin, opts_.delay_chance_permille, {faults.data(), n});
+  if (pick == delay) {
     ++result_.delays;
     trace_event(origin, obs::EventCode::kDelay, target, opts_.delay_factor);
-  } else if (outcome == GrayOutcome::kPartition) {
+    cost *= opts_.delay_factor;
+  } else if (pick == partition) {
     ++result_.partitions;
     Nanos& until = partition_until_[static_cast<usize>(target)];
     until = std::max(until, procs_[static_cast<usize>(origin)]->clock +
                                 opts_.partition_span);
     trace_event(origin, obs::EventCode::kPartition, target, until);
   }
-  return outcome;
+  return cost;
 }
 
-bool SimWorld::decide_drift(Rank origin) {
-  bool drift;
-  // The replay cursor is honored regardless of scheduling policy:
-  // virtual-time campaigns record ONLY fault-decision picks (the schedule
-  // itself is deterministic), so their traces replay under kVirtualTime
-  // with the picks consumed right here at the decision sites.
-  if (opts_.replay != nullptr) {
-    if (replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      drift = pick == drift_pick(origin);
-      // A pick naming neither outcome (shrunk/edited trace) falls back to
-      // the no-drift completion, counted like any other divergence.
-      if (!drift && pick != origin) ++result_.replay_divergences;
-    } else {
-      drift = false;  // exhausted (shrunk) trace: no-drift completion
-    }
-  } else if (opts_.pick_hook) {
-    // Candidates sorted ascending like every hook call; the caller's own
-    // rank is the no-drift choice. Consulted under ANY policy — the
-    // exhaustive drift explorer runs kVirtualTime scheduling and drives
-    // only these fault-decision sites, so its DFS enumerates drift
-    // placements over one deterministic schedule.
-    const std::vector<Rank> candidates{drift_pick(origin), origin};
-    drift = opts_.pick_hook(candidates) == drift_pick(origin);
-  } else if (opts_.policy == SchedPolicy::kReplay) {
-    drift = false;  // deterministic fallback, like smallest-rank picks
-  } else {
-    drift = sched_rng_.below(1000) < opts_.drift_chance_permille;
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(drift ? drift_pick(origin) : origin);
-  }
-  if (drift) apply_drift(origin);
-  return drift;
+Nanos SimWorld::book_nic(Rank target, Nanos arrival, Nanos occupancy) {
+  // partition_until_ is all-zero while the gray model is unarmed, making
+  // the stall a no-op.
+  const usize t = static_cast<usize>(target);
+  const Nanos start = std::max({arrival, partition_until_[t], nic_free_[t]});
+  nic_free_[t] = start + occupancy;
+  return nic_free_[t];
 }
 
 void SimWorld::apply_drift(Rank origin) {
@@ -1268,18 +1171,7 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
                  static_cast<usize>(offset) <
                      windows_[static_cast<usize>(target)].size());
   const i32 dclass = dclass_of(origin, target);
-
-  if (dclass != 0 && drift_armed()) {
-    bump_step(origin);
-    decide_drift(origin);
-  }
-  Nanos cost = opts_.latency.op_cost(kind, dclass);
-  if (dclass != 0 && gray_armed()) {
-    bump_step(origin);
-    if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-      cost *= opts_.delay_factor;
-    }
-  }
+  const Nanos cost = remote_op_faults(origin, target, kind, dclass);
 
   bump_step(origin);
   self.stats.record(kind, dclass);
@@ -1305,11 +1197,8 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
       yield_cpu(origin);
       return TryResult{TryStatus::kTimeout, 0};
     }
-    const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-    const Nanos start = std::max(std::max(arrival, until),
-                                 nic_free_[static_cast<usize>(target)]);
-    nic_free_[static_cast<usize>(target)] = start + occupancy;
-    completion = start + occupancy;
+    completion =
+        book_nic(target, arrival, opts_.latency.occupancy(kind, dclass));
     // A slow-but-delivered attempt (straggler) completes late rather than
     // failing: the caller re-checks now_ns() against its deadline.
     self.clock = completion + (cost - cost / 2);
@@ -1344,44 +1233,20 @@ bool SimWorld::proc_suspected(Rank origin, Rank target) const {
   return proc.crashed || (opts_.adversarial_suspicion && target != origin);
 }
 
-bool SimWorld::decide_crash(Rank origin) {
-  bool crash;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      crash = pick == crash_pick(origin);
-      // A pick that names neither outcome (shrunk/edited trace) falls back
-      // to surviving, counted like any other divergence.
-      if (!crash && pick != origin) ++result_.replay_divergences;
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call; the caller's own
-      // rank is the "keep running" choice, so a crash costs the explorer
-      // one preemption — no-crash schedules are explored first.
-      const std::vector<Rank> candidates{crash_pick(origin), origin};
-      crash = opts_.pick_hook(candidates) == crash_pick(origin);
-    } else {
-      crash = false;  // deterministic fallback, like smallest-rank picks
-    }
-  } else {
-    crash = sched_rng_.below(1000) < opts_.crash_chance_permille;
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(crash ? crash_pick(origin) : origin);
-  }
-  return crash;
-}
-
 void SimWorld::execute_crash_point(Rank origin) {
   check_stop(origin);
-  if (opts_.max_crashes <= 0 ||
-      result_.crashes >= static_cast<u64>(opts_.max_crashes)) {
+  if (!budget_left(opts_.max_crashes, result_.crashes)) {
     // Unarmed (or budget spent): a complete no-op — no step, no decision,
     // no trace entry — so bodies may declare crash points unconditionally
     // without perturbing crash-free runs or pre-crash-model traces.
     return;
   }
   bump_step(origin);
-  if (!decide_crash(origin)) return;
+  const Rank crash = fault_pick(FaultKind::kCrash, origin);
+  if (decide_fault(origin, opts_.crash_chance_permille, {&crash, 1}) !=
+      crash) {
+    return;
+  }
   Proc& self = *procs_[static_cast<usize>(origin)];
   ++result_.crashes;
   self.crashed = true;

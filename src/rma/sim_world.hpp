@@ -56,10 +56,12 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "rma/faults.hpp"
 #include "rma/fiber.hpp"
 #include "rma/latency_model.hpp"
 #include "rma/world.hpp"
@@ -78,13 +80,16 @@ enum class SchedPolicy : u8 {
   kReplay,       // re-execute a recorded ScheduleTrace / drive via pick_hook
 };
 
-/// Explicit scheduler hook (kReplay): called at each decision point not
-/// covered by SimOptions::replay with the runnable set sorted by rank;
-/// must return one of the candidates. This is how the bounded-exhaustive
-/// explorer enumerates interleavings.
+/// Explicit decision hook: called at each decision not covered by
+/// SimOptions::replay, with the candidates sorted ascending, and must
+/// return one of them. Scheduling decisions (kReplay only) offer the
+/// runnable ranks; armed fault decisions (any policy) offer the fault
+/// picks and the caller's rank (rma/faults.hpp). This is how the
+/// bounded-exhaustive explorer enumerates interleavings and fault
+/// placements.
 using PickHook = std::function<Rank(const std::vector<Rank>& candidates)>;
 
-struct SimOptions {
+struct SimOptions : FaultKnobs {
   topo::Topology topology;
   /// Network model; defaulted to LatencyModel::xc30(topology levels).
   LatencyModel latency{};
@@ -104,133 +109,23 @@ struct SimOptions {
   /// Abort the process on deadlock (benchmarks want loud failure); when
   /// false the deadlock is reported in RunResult (model checking).
   bool abort_on_deadlock = true;
-  /// Record every scheduler decision into RunResult::schedule. Only list
-  /// policies (kRandom/kPct/kReplay) have decisions to record; kVirtualTime
-  /// is deterministic by construction and records nothing.
+  /// Record every decision into RunResult::schedule. kVirtualTime
+  /// scheduling is deterministic by construction, so under it only armed
+  /// fault decisions are recorded.
   bool record_schedule = false;
-  /// kReplay: the decisions to re-execute (typically a RunResult::schedule
-  /// from a recorded run). Not owned; must outlive run(). Decisions beyond
-  /// the trace fall through to pick_hook, then to the deterministic
-  /// smallest-rank policy.
+  /// The decisions to re-execute (typically a RunResult::schedule from a
+  /// recorded run): scheduling decisions under kReplay, fault decisions
+  /// under any policy. Not owned; must outlive run(). Decisions beyond the
+  /// trace fall through to pick_hook, then to the deterministic
+  /// smallest-rank (scheduling) or no-fault (faults) choice.
   const ScheduleTrace* replay = nullptr;
-  /// kReplay: decision hook consulted after `replay` is exhausted (see
-  /// PickHook). Used by the exhaustive explorer.
+  /// Decision hook consulted after `replay` is exhausted (see PickHook).
+  /// Used by the exhaustive explorer.
   PickHook pick_hook;
   /// Stack bytes per simulated process.
   usize fiber_stack_bytes = 256 * 1024;
 
-  // --- crash injection -----------------------------------------------------
-  // Failure model: fail-stop crashes at *declared* crash points
-  // (RmaComm::crash_point()), window memory surviving the owner process —
-  // the RDMA model where the NIC keeps serving remote reads of a dead
-  // host's registered memory. 0 disables the machinery completely:
-  // crash_point() is then free and recorded traces stay bit-compatible
-  // with the pre-crash-model format.
-
-  /// Maximum number of crash events the run may inject (the budget the
-  /// exhaustive explorer bounds, like its preemption bound).
-  i32 max_crashes = 0;
-  /// Chance (permille) of crashing at an armed crash point under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 crash_chance_permille = 500;
-  /// Restart crashed processes: a crashed process re-enters the scheduler
-  /// and, when next picked, reboots and re-runs the body from the top as a
-  /// fresh incarnation — so restart *timing* is an ordinary scheduling
-  /// decision that record/replay and the explorer cover for free. When
-  /// false, crashes are permanent (fail-stop). Restarting bodies must not
-  /// contain barriers: the barrier accounting cannot tell a reborn
-  /// first-barrier arrival from a later one.
-  bool restart_crashed = false;
-  /// Virtual downtime charged to a restarting process before it re-enters
-  /// the scheduler (kVirtualTime: keeps it out of the running for that
-  /// long).
-  Nanos restart_delay_ns = 0;
-  /// Failure detector model for RmaComm::suspected(): false = perfect
-  /// (suspected iff crashed); true = adversarial (every other rank is
-  /// always suspected — the timeout that always fires). Lease fencing must
-  /// keep its epoch-safety property even under the adversarial detector.
-  bool adversarial_suspicion = false;
-
-  // --- torn multi-word reads ----------------------------------------------
-  // Fault model for RmaComm::get_vec: on real RMA hardware a multi-word
-  // read is atomic per word only, so concurrent writers may interleave
-  // between the words. With max_tears > 0, every multi-word get_vec becomes
-  // an explorable decision: read all n words atomically, or read a prefix
-  // of k words (1 <= k < n), yield the cpu (a real scheduling point where
-  // writers can run), then read the rest — the observed vector can mix pre-
-  // and post-write state. Decisions share the pick stream (see
-  // ScheduleTrace), so record/replay, ddmin, and the exhaustive explorer
-  // cover every tear placement. 0 disables the machinery completely: no
-  // decision, no cost, recorded traces stay bit-compatible with the
-  // pre-tear-model format.
-
-  /// Maximum number of torn reads the run may inject (budget, like
-  /// max_crashes).
-  i32 max_tears = 0;
-  /// Chance (permille) of tearing an armed multi-word get_vec under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 tear_chance_permille = 500;
-
-  // --- gray-failure network ------------------------------------------------
-  // Fault model for the *common* production failure the paper's healthy
-  // interconnect assumes away: stragglers (an op that completes, just much
-  // later) and transient partitions (a target unreachable for a window, then
-  // fine). With either budget armed, every remote op is an explorable
-  // decision — complete normally, inject a straggler delay (the op's
-  // completion charge is multiplied by delay_factor), or open a partition of
-  // the target (remote ops against it stall until the window closes;
-  // try_* ops fail fast instead). Decisions share the pick stream (see
-  // ScheduleTrace) below the tear range, so record/replay, ddmin, and the
-  // exhaustive explorer cover them. 0/0 disables the machinery completely:
-  // no decision, no cost, recorded traces stay bit-compatible with the
-  // pre-gray-model format.
-
-  /// Maximum number of straggler delays the run may inject (budget).
-  i32 max_delays = 0;
-  /// Chance (permille) of injecting a fault at an armed remote op under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct); shared by the delay
-  /// and partition draws. kReplay takes the decision from the trace /
-  /// pick_hook instead.
-  u32 delay_chance_permille = 200;
-  /// Straggler multiplier: a delayed op's completion charge is multiplied
-  /// by this factor (congested-link model).
-  i64 delay_factor = 16;
-  /// Maximum number of transient partitions the run may open (budget).
-  i32 max_partitions = 0;
-  /// Virtual duration of one transient partition: remote ops against the
-  /// partitioned target stall until `origin clock + partition_span`.
-  Nanos partition_span = 50'000;
-
-  // --- clock skew / drift --------------------------------------------------
-  // Fault model for the synchronized-clock assumption every time-based
-  // lease leans on: per-process local clocks (RmaComm::local_now_ns) that
-  // run fast or slow relative to true time and step within a bounded skew
-  // window — the NTP reality the paper's model ignores. Disarmed,
-  // local_now_ns is the shared wall clock (perfect synchronization). With
-  // the budget armed, every remote op is an explorable decision — keep the
-  // caller's clock map, or re-anchor it to an extreme rate (±
-  // max_drift_permille) and skew step (± skew_window). Decisions share the
-  // pick stream (see ScheduleTrace) below the partition range, so
-  // record/replay, ddmin, and the exhaustive explorer cover every drift
-  // placement. 0 disables the machinery completely: no decision, no trace
-  // entry, recorded traces stay bit-compatible with the pre-drift-model
-  // format.
-
-  /// Maximum number of drift events the run may inject (budget, like
-  /// max_delays).
-  i32 max_drift_events = 0;
-  /// Chance (permille) of drifting at an armed remote op under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 drift_chance_permille = 200;
-  /// Worst-case clock rate error (permille): a drifted clock advances at
-  /// (1000 ± this)/1000 of true time.
-  u32 max_drift_permille = 200;
-  /// Bound on the absolute skew offset a local clock can step to (the NTP
-  /// step clamp). A drift event sets the caller's skew to ± this.
-  Nanos skew_window = 2'000;
+  // The fault knobs are inherited from FaultKnobs (rma/faults.hpp).
 
   // --- observability -------------------------------------------------------
 
@@ -337,44 +232,9 @@ class SimWorld final : public World {
   /// (same exception-transparency argument as StopRun).
   struct ProcCrashed {};
 
-  /// Crash decisions share the pick stream with scheduling decisions:
-  /// surviving crash point records the caller's rank, crashing records
-  /// crash_pick(rank). The +2 offset keeps the encoding clear of
-  /// kNilRank (-1).
-  [[nodiscard]] static constexpr Rank crash_pick(Rank rank) {
-    return -(rank + 2);
-  }
-
-  /// Torn-read decisions also share the pick stream: an atomic n-word
-  /// get_vec records the caller's rank, tearing after a k-word prefix
-  /// records tear_pick(k) — offset past the crash range [-(P + 1), -2] so
-  /// the encodings never collide for any rank/split of this world.
-  [[nodiscard]] Rank tear_pick(usize split) const {
-    return -(nprocs() + 2 + static_cast<Rank>(split));
-  }
-
-  /// Width reserved for the tear range in the pick encoding: splits are
-  /// CHECKed against it when tears are armed, so the gray-failure picks
-  /// below can sit at fixed offsets under the tear range without ever
-  /// colliding for any payload size of this world.
-  static constexpr Rank kTearPickSpan = 64;
-
-  /// Gray-failure decisions share the pick stream below the tear range:
-  /// a normal completion records the caller's rank, a straggler delay
-  /// records delay_pick(origin), a transient partition of the target
-  /// records part_pick(target).
-  [[nodiscard]] Rank delay_pick(Rank rank) const {
-    return -(nprocs() + kTearPickSpan + 3 + rank);
-  }
-  [[nodiscard]] Rank part_pick(Rank rank) const {
-    return -(2 * nprocs() + kTearPickSpan + 3 + rank);
-  }
-
-  /// Clock-drift decisions share the pick stream below the partition
-  /// range: a no-drift completion records the caller's rank, a drift event
-  /// on the caller's clock records drift_pick(origin).
-  [[nodiscard]] Rank drift_pick(Rank rank) const {
-    return -(3 * nprocs() + kTearPickSpan + 3 + rank);
+  /// The pick recording a `kind` fault on `subject` in this world.
+  [[nodiscard]] Rank fault_pick(FaultKind kind, i32 subject) const {
+    return rma::fault_pick(kind, nprocs(), subject);
   }
 
   void grow_windows(usize words) override;
@@ -397,34 +257,33 @@ class SimWorld final : public World {
   /// halves.
   void execute_get_vec(Rank origin, Rank target, WinOffset offset, i64* out,
                        usize n);
-  /// The tear/no-tear decision at an armed multi-word get_vec: returns the
-  /// prefix length k in [1, n-1] to tear after, or 0 for an atomic read.
-  usize decide_tear(Rank origin, usize n);
-  /// Gray-failure outcome of one remote-op fault decision.
-  enum class GrayOutcome : u8 { kNone, kDelay, kPartition };
-  /// The fault decision at an armed remote op (gray model): complete
-  /// normally, inject a straggler delay, or open a transient partition of
-  /// the target. Only called while a budget remains.
-  GrayOutcome decide_gray(Rank origin, Rank target);
-  /// True iff either gray budget still has events left.
-  [[nodiscard]] bool gray_armed() const {
-    return (opts_.max_delays > 0 &&
-            result_.delays < static_cast<u64>(opts_.max_delays)) ||
-           (opts_.max_partitions > 0 &&
-            result_.partitions < static_cast<u64>(opts_.max_partitions));
+  /// The one fault decision: `faults` are the class's candidate fault
+  /// picks, sorted ascending (all below the no-fault pick, `origin`).
+  /// Tries the replay trace, then the pick hook, then a replay's no-fault
+  /// fallback, then the stochastic draw: one draw against
+  /// `chance_permille`, and on a hit a second draw of the fault, counted
+  /// from the last candidate. A single candidate skips the second draw
+  /// unless `draw_sole` (the tear split is drawn even when only one
+  /// exists; recorded random streams depend on it). Records and returns
+  /// the chosen pick.
+  Rank decide_fault(Rank origin, u32 chance_permille,
+                    std::span<const Rank> faults, bool draw_sole = false);
+  /// True iff a fault budget of `max` events has room after `used`.
+  [[nodiscard]] static bool budget_left(i32 max, u64 used) {
+    return max > 0 && used < static_cast<u64>(max);
   }
-  /// The drift/no-drift decision at an armed remote op (clock model):
-  /// returns true iff a drift event was applied to origin's clock map.
-  bool decide_drift(Rank origin);
+  /// The drift and gray decisions of a remote op (each only while its
+  /// budget lasts); applies a drift or partition and returns the op's
+  /// completion charge, stretched by delay_factor for a straggler.
+  Nanos remote_op_faults(Rank origin, Rank target, OpKind kind, i32 dclass);
+  /// Books a remote op on target's NIC: the op arrives at `arrival`,
+  /// stalled past any partition window, queues behind earlier bookings and
+  /// holds the NIC for `occupancy`. Returns its completion time.
+  Nanos book_nic(Rank target, Nanos arrival, Nanos occupancy);
   /// Re-anchors origin's clock map at the current wall time with an
-  /// extreme rate and skew step (deterministic — no rng draws, so replay
+  /// extreme rate and skew step (deterministic: no rng draws, so replay
   /// reproduces the exact clock trajectory).
   void apply_drift(Rank origin);
-  /// True iff the drift budget still has events left.
-  [[nodiscard]] bool drift_armed() const {
-    return opts_.max_drift_events > 0 &&
-           result_.drift_events < static_cast<u64>(opts_.max_drift_events);
-  }
   /// Deadline-aware single-attempt op (RmaComm::try_*): one engine step,
   /// never parks; fails fast without applying when the target is inside a
   /// partition window that outlasts the deadline.
@@ -435,8 +294,6 @@ class SimWorld final : public World {
   /// injection is armed and budget remains, else an explorable binary
   /// decision that may throw ProcCrashed through the caller.
   void execute_crash_point(Rank origin);
-  /// The crash/survive decision at an armed crash point (per policy).
-  bool decide_crash(Rank origin);
   /// Failure detector backing RmaComm::suspected().
   [[nodiscard]] bool proc_suspected(Rank origin, Rank target) const;
   /// A crash is a failure-detection event: wakes every parked process with

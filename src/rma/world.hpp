@@ -31,37 +31,9 @@ namespace rmalock::rma {
 /// trace still replays — unmatched decisions fall back to the deterministic
 /// smallest-rank policy — which is what makes ddmin-style shrinking possible.
 ///
-/// Crash decisions (SimOptions::max_crashes > 0) share the pick stream: at
-/// an armed crash point, surviving records the caller's rank r and crashing
-/// records -(r + 2) (the offset keeps the encoding clear of kNilRank = -1).
-/// With crash injection off, crash points record nothing, so such traces
-/// are bit-compatible with pre-crash-model ones.
-///
-/// Torn-read decisions (SimOptions::max_tears > 0) share the stream the same
-/// way: at an armed n-word get_vec, reading atomically records the caller's
-/// rank r and tearing after a prefix of k words (1 <= k < n) records
-/// -(P + 2 + k) — below the crash range [-(P + 1), -2], so the three
-/// encodings never collide. With the fault model off, get_vec makes no
-/// decision and records nothing, keeping pre-tear-model traces
-/// bit-compatible.
-///
-/// Gray-failure decisions (SimOptions::max_delays / max_partitions > 0)
-/// share the stream below the tear range, whose width is bounded by
-/// SimWorld::kTearPickSpan: at an armed remote op, completing normally
-/// records the caller's rank r, injecting a straggler delay records
-/// -(P + kTearPickSpan + 3 + r), and opening a transient partition of the
-/// *target* rank t records -(2P + kTearPickSpan + 3 + t). All four fault
-/// encodings occupy disjoint negative ranges, and with the gray model off
-/// remote ops make no fault decision — pre-gray-model traces stay
-/// bit-compatible.
-///
-/// Clock-drift decisions (SimOptions::max_drift_events > 0) share the
-/// stream below the partition range: at an armed remote op, keeping the
-/// caller's clock map records the caller's rank r and injecting a drift
-/// event records -(3P + kTearPickSpan + 3 + r). The event itself is a
-/// deterministic function of (rank, event count), so the pick alone
-/// reproduces the exact clock trajectory. With the drift model off, no
-/// decision is made — pre-drift-model traces stay bit-compatible.
+/// Armed fault decisions share the pick stream, as negative picks whose
+/// encoding rma/faults.hpp documents. A disarmed fault class records
+/// nothing, so traces from before it existed stay bit-compatible.
 struct ScheduleTrace {
   std::vector<Rank> picks;
 

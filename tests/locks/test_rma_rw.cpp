@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -442,6 +443,14 @@ struct RwSweepCase {
   i64 tr;
   i32 writer_mod;  // rank % writer_mod == 0 -> writer (0 = all readers)
 };
+
+// Without this, gtest prints the case as raw bytes: the spec pointer and the
+// struct padding, which change from run to run and so rename the ctest entries
+// on every build.
+void PrintTo(const RwSweepCase& c, std::ostream* os) {
+  *os << c.spec << " tdc=" << c.tdc << " tl=" << c.tl << " tr=" << c.tr
+      << " wmod=" << c.writer_mod;
+}
 
 class RmaRwSweep
     : public ::testing::TestWithParam<std::tuple<RwSweepCase, u64>> {};

@@ -17,8 +17,8 @@
 namespace rmalock::mc {
 namespace {
 
-LeaseLockFactory lease_factory(bool fence) {
-  return [fence](rma::World& world) {
+Workload lease(bool fence) {
+  return lease_workload([fence](rma::World& world) {
     auto inner = locks::make_exclusive(locks::Backend::kRmaMcs, world,
                                        /*home=*/0);
     locks::LeaseParams params;
@@ -26,7 +26,7 @@ LeaseLockFactory lease_factory(bool fence) {
     params.fence_on_steal = fence;
     return std::make_unique<locks::LeaseExclusive>(world, std::move(inner),
                                                    params);
-  };
+  });
 }
 
 /// Randomized crash campaign over the P=4 topology mc_verification uses;
@@ -81,7 +81,7 @@ TEST(EpochMonitor, CrashedHolderKeepsItsEpochActive) {
 
 TEST(CrashMc, RandomizedFencedLeaseCampaignIsClean) {
   const CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 30);
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report = check(config, lease(true));
   EXPECT_EQ(report.schedules_run, 30u);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.total_cs_entries, 0u);
@@ -93,7 +93,7 @@ TEST(CrashMc, RestartCampaignIsClean) {
   // safety and liveness.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 30);
   config.restart_crashed = true;
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report = check(config, lease(true));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
@@ -103,7 +103,7 @@ TEST(CrashMc, AdversarialDetectorStaysEpochSafeWhenFenced) {
   // detector accuracy.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 20);
   config.adversarial_suspicion = true;
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report = check(config, lease(true));
   EXPECT_EQ(report.mutex_violations, 0u) << report.summary();
 }
 
@@ -118,8 +118,8 @@ TEST(CrashMc, ExhaustiveFencedLeaseDrainsItsSpaceCleanly) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_lease_exhaustive(
-      config, explore, lease_factory(true), /*iterative=*/true);
+  const CheckReport report =
+      check_exhaustive(config, explore, lease(true), /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.schedules_run, 1u);
   EXPECT_GT(report.exhausted_spaces, 0u)
@@ -130,7 +130,7 @@ class PlantedNoFenceBug : public ::testing::TestWithParam<rma::SchedPolicy> {};
 
 TEST_P(PlantedNoFenceBug, IsCaughtWithAReplayableCounterexample) {
   const CheckConfig config = crash_config(GetParam(), 60);
-  const CheckReport report = check_lease(config, lease_factory(false));
+  const CheckReport report = check(config, lease(false));
   ASSERT_GT(report.mutex_violations, 0u)
       << "planted no-fence recovery bug was not caught: "
       << report.summary();
@@ -142,8 +142,7 @@ TEST_P(PlantedNoFenceBug, IsCaughtWithAReplayableCounterexample) {
   // the recorded world seed deterministically reproduces the violation.
   const rma::SimOptions replay = replay_options(
       config, report.first_failure.world_seed, report.first_failure.trace);
-  const ScheduleOutcome outcome =
-      run_lease_schedule(config, lease_factory(false), replay);
+  const ScheduleOutcome outcome = lease(false).run(config, replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the epoch violation";
   EXPECT_GE(outcome.run.crashes, 1u)
@@ -163,8 +162,8 @@ TEST(CrashMc, PlantedNoFenceBugIsCaughtByExhaustiveEnumeration) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_lease_exhaustive(
-      config, explore, lease_factory(false), /*iterative=*/true);
+  const CheckReport report =
+      check_exhaustive(config, explore, lease(false), /*iterative=*/true);
   EXPECT_GT(report.mutex_violations, 0u)
       << "exhaustive enumeration missed the planted bug: "
       << report.summary();

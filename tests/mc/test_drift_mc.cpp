@@ -22,8 +22,8 @@ namespace {
 /// Mirrors mc_verification's drift subjects: one TimedLease guarding one
 /// payload key of a single-slot LockSpace. `margin` = correct safety
 /// margin; `skip_token` plants the no-fencing resource bug.
-DriftLeaseFactory drift_factory(bool margin, bool skip_token = false) {
-  return [margin, skip_token](rma::World& world) {
+Workload drift_lease(bool margin, bool skip_token = false) {
+  return drift_workload([margin, skip_token](rma::World& world) {
     DriftLeaseSubject subject;
     locks::TimedLeaseParams params;
     params.home = 0;
@@ -38,7 +38,7 @@ DriftLeaseFactory drift_factory(bool margin, bool skip_token = false) {
     subject.space = std::make_unique<lockspace::LockSpace>(world, config);
     subject.key = 0;
     return subject;
-  };
+  });
 }
 
 /// Randomized drift campaign over the P=2 topology mc_verification uses.
@@ -115,8 +115,8 @@ TEST(DriftMcMonitor, StaleCommitsAreTokenInversionsInAdmissionOrder) {
 }
 
 TEST(DriftMc, RandomizedFencedCampaignIsClean) {
-  const CheckReport report = check_drift(drift_config(20),
-                                         drift_factory(/*margin=*/true));
+  const CheckReport report =
+      check(drift_config(20), drift_lease(/*margin=*/true));
   EXPECT_EQ(report.schedules_run, 20u);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.stale_token_commits, 0u);
@@ -127,15 +127,14 @@ TEST(DriftMc, DriftBlindMargin0CampaignIsAFalseNegative) {
   // Under perfect clocks the margin-0 lease is actually safe — the false
   // negative the drift model exists to prevent. A clean report here plus
   // the caught-bug tests below is the armed/disarmed contrast.
-  const CheckReport report = check_drift(
-      drift_config(20, /*drift_events=*/0), drift_factory(/*margin=*/false));
+  const CheckReport report = check(drift_config(20, /*drift_events=*/0),
+                                   drift_lease(/*margin=*/false));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
   CheckConfig config = drift_config(60);
-  const CheckReport report =
-      check_drift(config, drift_factory(/*margin=*/false));
+  const CheckReport report = check(config, drift_lease(/*margin=*/false));
   ASSERT_GT(report.mutex_violations, 0u)
       << "planted zero-margin lease bug was not caught: " << report.summary();
   // Fencing stays ON: the belief overlap is real but the stale holder's
@@ -148,8 +147,8 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
   // the recorded world seed deterministically reproduces the violation.
   const rma::SimOptions replay = replay_options(
       config, report.first_failure.world_seed, report.first_failure.trace);
-  const ScheduleOutcome outcome = run_drift_schedule(
-      config, drift_factory(/*margin=*/false), replay);
+  const ScheduleOutcome outcome =
+      drift_lease(/*margin=*/false).run(config, replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the belief overlap";
   EXPECT_GT(outcome.run.drift_events, 0u)
@@ -157,8 +156,9 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
 }
 
 TEST(DriftMc, PlantedSkipTokenCheckBugCommitsStaleWrites) {
-  const CheckReport report = check_drift(
-      drift_config(60), drift_factory(/*margin=*/false, /*skip_token=*/true));
+  const CheckReport report =
+      check(drift_config(60),
+            drift_lease(/*margin=*/false, /*skip_token=*/true));
   ASSERT_GT(report.mutex_violations, 0u) << report.summary();
   EXPECT_GT(report.stale_token_commits, 0u)
       << "without resource-side token validation the stale holder's write "
@@ -178,8 +178,8 @@ TEST(DriftMc, ExhaustiveFencedCampaignDrainsItsSpaceCleanly) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_drift_exhaustive(
-      config, explore, drift_factory(/*margin=*/true), /*iterative=*/true);
+  const CheckReport report = check_exhaustive(
+      config, explore, drift_lease(/*margin=*/true), /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.schedules_run, 1u);
   EXPECT_GT(report.exhausted_spaces, 0u)
@@ -193,22 +193,19 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtByExhaustiveEnumeration) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_drift_exhaustive(
-      config, explore, drift_factory(/*margin=*/false), /*iterative=*/true);
+  const CheckReport report = check_exhaustive(
+      config, explore, drift_lease(/*margin=*/false), /*iterative=*/true);
   ASSERT_GT(report.mutex_violations, 0u)
       << "exhaustive enumeration missed the planted bug: "
       << report.summary();
   ASSERT_TRUE(report.has_first_failure);
 
-  // Exhaustive drift counterexamples replay under kVirtualTime (the
-  // policy the space was explored under); replay_options keys off
-  // config.policy, which check_drift_exhaustive forces.
-  CheckConfig replay_config = config;
-  replay_config.policy = rma::SchedPolicy::kVirtualTime;
-  const ScheduleOutcome outcome = run_drift_schedule(
-      replay_config, drift_factory(/*margin=*/false),
-      replay_options(replay_config, report.first_failure.world_seed,
-                     report.first_failure.trace));
+  // Exhaustive drift counterexamples replay under kVirtualTime, the policy
+  // the space was explored under: check_exhaustive and replay_options both
+  // key off config.policy.
+  const ScheduleOutcome outcome = drift_lease(/*margin=*/false).run(
+      config, replay_options(config, report.first_failure.world_seed,
+                             report.first_failure.trace));
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "exhaustive counterexample does not replay";
 }

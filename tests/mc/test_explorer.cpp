@@ -156,11 +156,11 @@ TEST(Explorer, ExhaustivelyVerifiesCorrectMcsTwoProcsTwoAcquires) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 3;
-  const CheckReport report = check_exclusive_exhaustive(
-      tiny_config(2, 2), explore, [](rma::World& world) {
+  const CheckReport report = check_exhaustive(
+      tiny_config(2, 2), explore, exclusive_workload([](rma::World& world) {
         return std::make_unique<test::PlantedMcs>(world,
                                                   /*drop_handoff=*/false);
-      });
+      }));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.exhausted_spaces, 1u)
       << "bounded space not drained: " << report.summary();
@@ -172,11 +172,10 @@ TEST(Explorer, FindsPlantedMcsDeadlockAndShrinksIt) {
   ExploreConfig explore;
   explore.max_schedules = 200'000;
   const CheckConfig config = tiny_config(2, 1);
-  const CheckReport report = check_exclusive_exhaustive(
-      config, explore, [](rma::World& world) {
-        return std::make_unique<test::PlantedMcs>(world,
-                                                  /*drop_handoff=*/true);
-      });
+  const Workload planted = exclusive_workload([](rma::World& world) {
+    return std::make_unique<test::PlantedMcs>(world, /*drop_handoff=*/true);
+  });
+  const CheckReport report = check_exhaustive(config, explore, planted);
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.deadlocks, 0u);
   ASSERT_TRUE(report.has_first_failure);
@@ -187,13 +186,9 @@ TEST(Explorer, FindsPlantedMcsDeadlockAndShrinksIt) {
   // The shrunk counterexample replays deterministically to the same
   // violation in a fresh world — twice.
   for (int i = 0; i < 2; ++i) {
-    const ScheduleOutcome replayed = run_exclusive_schedule(
-        config,
-        [](rma::World& world) {
-          return std::make_unique<test::PlantedMcs>(world, true);
-        },
-        replay_options(config, report.first_failure.world_seed,
-                       report.first_failure.trace));
+    const ScheduleOutcome replayed = planted.run(
+        config, replay_options(config, report.first_failure.world_seed,
+                               report.first_failure.trace));
     EXPECT_TRUE(replayed.run.deadlocked) << "replay " << i;
   }
 }
@@ -221,8 +216,8 @@ TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
     return std::make_unique<locks::RmaRw>(world, params);
   };
   const CheckReport report =
-      check_rw_exhaustive(config, explore, faithful_factory,
-                          /*iterative=*/true);
+      check_exhaustive(config, explore, rw_workload(faithful_factory),
+                       /*iterative=*/true);
   EXPECT_FALSE(report.ok()) << report.summary();
   EXPECT_GT(report.mutex_violations, 0u);
   ASSERT_TRUE(report.has_first_failure);
@@ -244,9 +239,8 @@ TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
   from_file.writer_fraction = repro.writer_fraction;
   from_file.writer_roles = repro.writer_roles;
   from_file.max_steps = repro.max_steps;
-  const ScheduleOutcome replayed = run_rw_schedule(
-      from_file, faithful_factory,
-      replay_options(from_file, repro.world_seed, repro.trace));
+  const ScheduleOutcome replayed = rw_workload(faithful_factory).run(
+      from_file, replay_options(from_file, repro.world_seed, repro.trace));
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
 
@@ -256,10 +250,10 @@ TEST(Explorer, ExhaustivelyVerifiesDMcsUnboundedSmallConfig) {
   // couple of seconds, all clean.
   ExploreConfig explore;
   explore.max_schedules = 100'000;
-  const CheckReport report = check_exclusive_exhaustive(
-      tiny_config(2, 1), explore, [](rma::World& world) {
+  const CheckReport report = check_exhaustive(
+      tiny_config(2, 1), explore, exclusive_workload([](rma::World& world) {
         return std::make_unique<locks::DMcs>(world);
-      });
+      }));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.exhausted_spaces, 1u) << report.summary();
   EXPECT_EQ(report.schedules_run, 38872u);

@@ -50,8 +50,9 @@ TEST(LockSpaceExhaustive, P2K2IsSafeAndWitnessesCrossKeyOverlap) {
   mc::ExploreConfig explore;
   explore.max_schedules = 200'000;
   explore.max_preemptions = 3;
-  const auto report = mc::check_lockspace_exhaustive(
-      config, explore, factory, keys, /*iterative=*/true);
+  const auto report = mc::check_exhaustive(
+      config, explore, mc::lockspace_workload(factory, keys),
+      /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.exhausted_spaces, 1u) << report.summary();
   EXPECT_GT(report.cross_key_overlap_schedules, 0u) << report.summary();
@@ -70,8 +71,9 @@ TEST(LockSpaceExhaustive, RwBackendReadersAndWritersStaySafe) {
   mc::ExploreConfig explore;
   explore.max_schedules = 200'000;
   explore.max_preemptions = 2;
-  const auto report = mc::check_lockspace_exhaustive(
-      config, explore, factory, keys, /*iterative=*/true);
+  const auto report = mc::check_exhaustive(
+      config, explore, mc::lockspace_workload(factory, keys),
+      /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.exhausted_spaces, 1u);
   EXPECT_GT(report.cross_key_overlap_schedules, 0u);
@@ -93,8 +95,9 @@ TEST(LockSpaceExhaustive, CollapsedSpaceNeverOverlapsDistinctKeys) {
   mc::ExploreConfig explore;
   explore.max_schedules = 200'000;
   explore.max_preemptions = 3;
-  const auto report = mc::check_lockspace_exhaustive(
-      config, explore, factory, keys, /*iterative=*/true);
+  const auto report = mc::check_exhaustive(
+      config, explore, mc::lockspace_workload(factory, keys),
+      /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.exhausted_spaces, 1u);
   EXPECT_EQ(report.cross_key_overlap_schedules, 0u)
@@ -114,7 +117,8 @@ TEST(LockSpaceRandomized, CampaignIsSafeAcrossPolicies) {
     config.writer_fraction = 0.5;
     const auto keys =
         mc::pick_cross_slot_keys(factory, config.topology, 2);
-    const auto report = mc::check_lockspace(config, factory, keys);
+    const auto report =
+        mc::check(config, mc::lockspace_workload(factory, keys));
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_EQ(report.schedules_run, 30u);
     EXPECT_GT(report.cross_key_overlap_schedules, 0u) << report.summary();
@@ -130,9 +134,11 @@ TEST(LockSpaceRandomized, ParallelCampaignIsByteIdenticalToSequential) {
   config.max_steps = 2'000'000;
   const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 2);
   config.jobs = 1;
-  const auto sequential = mc::check_lockspace(config, factory, keys);
+  const auto sequential =
+      mc::check(config, mc::lockspace_workload(factory, keys));
   config.jobs = 2;
-  const auto parallel = mc::check_lockspace(config, factory, keys);
+  const auto parallel =
+      mc::check(config, mc::lockspace_workload(factory, keys));
   EXPECT_EQ(sequential.summary(), parallel.summary());
   EXPECT_EQ(sequential.cross_key_overlap_schedules,
             parallel.cross_key_overlap_schedules);

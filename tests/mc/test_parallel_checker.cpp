@@ -67,9 +67,9 @@ TEST(ParallelChecker, CleanRandomizedCampaignMatchesSequential) {
   config.schedules = 40;
   config.acquires_per_proc = 5;
   config.max_steps = 400'000;
-  const CheckReport seq = check_exclusive(config, rma_mcs_factory());
+  const CheckReport seq = check(config, exclusive_workload(rma_mcs_factory()));
   config.jobs = 4;
-  const CheckReport par = check_exclusive(config, rma_mcs_factory());
+  const CheckReport par = check(config, exclusive_workload(rma_mcs_factory()));
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);
 }
@@ -88,9 +88,9 @@ TEST(ParallelChecker, CleanPctRwCampaignMatchesSequential) {
                            2);
     return std::make_unique<locks::RmaRw>(world, params);
   };
-  const CheckReport seq = check_rw(config, factory);
+  const CheckReport seq = check(config, rw_workload(factory));
   config.jobs = 4;
-  const CheckReport par = check_rw(config, factory);
+  const CheckReport par = check(config, rw_workload(factory));
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);
 }
@@ -106,9 +106,11 @@ TEST(ParallelChecker, PlantedBugFailureCoordinatesMatchSequential) {
   config.schedules = 60;
   config.acquires_per_proc = 2;
   config.max_steps = 200'000;
-  const CheckReport seq = check_exclusive(config, planted_mcs_factory());
+  const CheckReport seq =
+      check(config, exclusive_workload(planted_mcs_factory()));
   config.jobs = 4;
-  const CheckReport par = check_exclusive(config, planted_mcs_factory());
+  const CheckReport par =
+      check(config, exclusive_workload(planted_mcs_factory()));
   ASSERT_FALSE(seq.ok());
   ASSERT_TRUE(seq.has_first_failure);
   EXPECT_EQ(seq.first_failure.kind, "deadlock");
@@ -126,12 +128,12 @@ TEST(ParallelChecker, ExhaustiveEnumerationMatchesSequential) {
   explore.max_schedules = 100'000;
   explore.max_preemptions = 3;
   const CheckReport seq =
-      check_exclusive_exhaustive(config, explore, rma_mcs_factory(),
-                                 /*iterative=*/true);
+      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+                       /*iterative=*/true);
   config.jobs = 4;
   const CheckReport par =
-      check_exclusive_exhaustive(config, explore, rma_mcs_factory(),
-                                 /*iterative=*/true);
+      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+                       /*iterative=*/true);
   EXPECT_TRUE(seq.ok());
   EXPECT_GT(seq.schedules_run, 100u);  // a real space, not a trivial one
   EXPECT_EQ(seq.exhausted_spaces, 1u);
@@ -150,12 +152,14 @@ TEST(ParallelChecker, ExhaustiveShardDepthDoesNotChangeEnumeration) {
   explore.max_schedules = 100'000;
   explore.max_preemptions = 2;
   const CheckReport seq =
-      check_exclusive_exhaustive(config, explore, rma_mcs_factory(), true);
+      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+                       true);
   config.jobs = 3;
   for (const usize depth : {1u, 3u, 7u}) {
     explore.shard_depth = depth;
     const CheckReport par =
-        check_exclusive_exhaustive(config, explore, rma_mcs_factory(), true);
+        check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+                         true);
     expect_equal_reports(seq, par);
   }
 }
@@ -172,13 +176,13 @@ TEST(ParallelChecker, ExhaustivePlantedBugStopsAtSameCounterexample) {
   ExploreConfig explore;
   explore.max_schedules = 100'000;
   explore.max_preemptions = 4;
-  const CheckReport seq =
-      check_exclusive_exhaustive(config, explore, planted_mcs_factory(),
-                                 /*iterative=*/true);
+  const CheckReport seq = check_exhaustive(
+      config, explore, exclusive_workload(planted_mcs_factory()),
+      /*iterative=*/true);
   config.jobs = 4;
-  const CheckReport par =
-      check_exclusive_exhaustive(config, explore, planted_mcs_factory(),
-                                 /*iterative=*/true);
+  const CheckReport par = check_exhaustive(
+      config, explore, exclusive_workload(planted_mcs_factory()),
+      /*iterative=*/true);
   ASSERT_FALSE(seq.ok());
   ASSERT_TRUE(seq.has_first_failure);
   expect_equal_reports(seq, par);
@@ -201,10 +205,12 @@ TEST(ParallelChecker, ExhaustiveRwCampaignMatchesSequential) {
     return std::make_unique<locks::RmaRw>(world, params);
   };
   const CheckReport seq =
-      check_rw_exhaustive(config, explore, factory, /*iterative=*/true);
+      check_exhaustive(config, explore, rw_workload(factory),
+                       /*iterative=*/true);
   config.jobs = 4;
   const CheckReport par =
-      check_rw_exhaustive(config, explore, factory, /*iterative=*/true);
+      check_exhaustive(config, explore, rw_workload(factory),
+                       /*iterative=*/true);
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);
 }

@@ -214,24 +214,24 @@ mc::CheckConfig config_for(const GoldenCase& c) {
 mc::ScheduleOutcome run_case(const GoldenCase& c, const mc::CheckConfig& config,
                              const rma::SimOptions& opts) {
   if (std::string(c.workload) == "rw:rma-rw") {
-    return mc::run_rw_schedule(config, rw_factory(), opts);
+    return mc::rw_workload(rw_factory()).run(config, opts);
   }
   if (std::string(c.workload) == "lease:mcs") {
-    return mc::run_lease_schedule(config, lease_factory(), opts);
+    return mc::lease_workload(lease_factory()).run(config, opts);
   }
   if (std::string(c.workload) == "opt:versioned") {
     const auto factory = optimistic_factory();
     const std::vector<u64> keys =
         mc::pick_cross_slot_keys(factory, c.topology, 1);
-    return mc::run_optimistic_schedule(config, factory, keys, opts);
+    return mc::optimistic_workload(factory, keys).run(config, opts);
   }
   if (std::string(c.workload) == "timeout:rma-mcs") {
-    return mc::run_timeout_schedule(config, exclusive_factory(), opts);
+    return mc::timeout_workload(exclusive_factory()).run(config, opts);
   }
   if (std::string(c.workload) == "drift:fenced") {
-    return mc::run_drift_schedule(config, drift_factory(), opts);
+    return mc::drift_workload(drift_factory()).run(config, opts);
   }
-  return mc::run_exclusive_schedule(config, exclusive_factory(), opts);
+  return mc::exclusive_workload(exclusive_factory()).run(config, opts);
 }
 
 /// Records the golden traces with kRandom scheduling (regeneration mode).
@@ -276,21 +276,7 @@ void regenerate() {
     golden.acquires_per_proc = c.acquires;
     golden.writer_roles = config.writer_roles;
     golden.max_steps = config.max_steps;
-    golden.max_crashes = config.max_crashes;
-    golden.crash_chance_permille = config.crash_chance_permille;
-    golden.restart_crashed = config.restart_crashed;
-    golden.adversarial_suspicion = config.adversarial_suspicion;
-    golden.max_tears = config.max_tears;
-    golden.tear_chance_permille = config.tear_chance_permille;
-    golden.max_delays = config.max_delays;
-    golden.delay_chance_permille = config.delay_chance_permille;
-    golden.delay_factor = config.delay_factor;
-    golden.max_partitions = config.max_partitions;
-    golden.partition_span = config.partition_span;
-    golden.max_drift_events = config.max_drift_events;
-    golden.drift_chance_permille = config.drift_chance_permille;
-    golden.max_drift_permille = config.max_drift_permille;
-    golden.skew_window = config.skew_window;
+    golden.knobs() = config.knobs();
     golden.trace = outcome.run.schedule;
     std::string error;
     ASSERT_TRUE(mc::write_trace_file(data_path(c.file), golden, &error))

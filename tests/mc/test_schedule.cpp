@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "locks/d_mcs.hpp"
 #include "mc/checker.hpp"
@@ -243,6 +246,69 @@ TEST(TraceSerialization, RejectsGarbage) {
   EXPECT_FALSE(parse_trace("rmalock-trace v1\ntopology - 2\nroles 101\n",
                            &parsed, &error));
   EXPECT_NE(error.find("roles"), std::string::npos);
+}
+
+TEST(TraceSerialization, RejectsOversizedCountsTopologiesAndBadValues) {
+  // Each once escaped parse_trace as an exception (bad_alloc, length_error)
+  // or parsed silently (seed 0).
+  for (const char* body :
+       {"picks 999999999999999999\n", "picks -1\n",
+        "topology 100000,100000 100000\n", "seed abc\n"}) {
+    TraceCase parsed;
+    std::string error;
+    EXPECT_FALSE(
+        parse_trace(std::string("rmalock-trace v2\n") + body, &parsed, &error))
+        << body;
+    EXPECT_FALSE(error.empty()) << body;
+  }
+}
+
+TEST(TraceSerialization, MutatedGoldensParseOrFailCleanly) {
+  // Seeded mutations of every golden trace — truncation, corrupted bytes,
+  // corrupted or huge fields — must each parse or be rejected with an
+  // error, never throw.
+  std::vector<std::filesystem::path> paths(
+      std::filesystem::directory_iterator(RMALOCK_TEST_DATA_DIR), {});
+  std::sort(paths.begin(), paths.end());  // a fixed mutation stream per file
+  ASSERT_EQ(paths.size(), 9u);
+  std::vector<std::string> goldens;
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    goldens.push_back(text.str());
+  }
+  const char* const fields[] = {"99999999999999999999", "-1", "4294967296",
+                                "abc", "", "1e9", "0x10"};
+  Xoshiro256 rng(13);
+  for (const std::string& golden : goldens) {
+    for (i32 i = 0; i < 300; ++i) {
+      std::string mutant = golden;
+      const usize at = static_cast<usize>(rng.below(mutant.size()));
+      switch (rng.below(3)) {
+        case 0:  // truncation
+          mutant.resize(at);
+          break;
+        case 1:  // a corrupted byte
+          mutant[at] = "09- ,\nx"[rng.below(7)];
+          break;
+        default: {  // a corrupted field: the token at `at` replaced
+          const usize begin = mutant.find_last_of(" \n", at) + 1;
+          const usize end = std::min(mutant.find_first_of(" \n", at),
+                                     mutant.size());
+          mutant.replace(begin, end > begin ? end - begin : 0,
+                         fields[rng.below(std::size(fields))]);
+        }
+      }
+      TraceCase parsed;
+      std::string error;
+      bool ok = false;
+      EXPECT_NO_THROW(ok = parse_trace(mutant, &parsed, &error)) << mutant;
+      if (!ok) {
+        EXPECT_FALSE(error.empty()) << mutant;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // piecewise-linear map of the rank's OWN virtual clock (rate error within
 // ± max_drift_permille, NTP-style steps within ± skew_window), drift
 // decisions share the picks stream below the partition range
-// (drift_pick(r) == -(3P + 64 + 3 + r)), and a recorded pick stream
+// (rma/faults.hpp), and a recorded pick stream
 // replays to the bit-identical clock trajectory under kVirtualTime.
 #include <gtest/gtest.h>
 
@@ -16,13 +16,6 @@
 
 namespace rmalock::rma {
 namespace {
-
-// Mirrors SimWorld's private pick encoding (like the gray-failure tests):
-// tear span 64, drift range below crash/tear/delay/partition.
-constexpr Rank kTearPickSpan = 64;
-Rank drift_pick_of(Rank nprocs, Rank rank) {
-  return -(3 * nprocs + kTearPickSpan + 3 + rank);
-}
 
 SimOptions drift_options(i32 p, u64 seed, i32 max_events,
                          u32 chance_permille = 1000,
@@ -69,7 +62,7 @@ TEST(SimWorldClockDrift, DisarmedClocksAreTheIdentityMapAndRecordNothing) {
   EXPECT_TRUE(result.ok());
   EXPECT_TRUE(identity) << "a disarmed local clock deviated from now_ns";
   EXPECT_EQ(result.drift_events, 0u);
-  const Rank lowest_drift_pick = drift_pick_of(4, 0);
+  const Rank lowest_drift_pick = fault_pick(FaultKind::kDrift, 4, 0);
   for (const Rank pick : result.schedule.picks) {
     EXPECT_GT(pick, lowest_drift_pick) << "drift pick in a disarmed run";
   }
@@ -184,7 +177,7 @@ TEST(SimWorldClockDrift, RecordedPickStreamReplaysBitIdentically) {
   // Every recorded pick is a drift-range pick or a no-drift rank: under
   // kVirtualTime no scheduling picks are recorded.
   for (const Rank pick : trace.picks) {
-    EXPECT_TRUE(pick >= 0 || pick <= drift_pick_of(2, 0))
+    EXPECT_TRUE(pick >= 0 || pick <= fault_pick(FaultKind::kDrift, 2, 0))
         << "non-drift pick " << pick << " recorded under kVirtualTime";
   }
   const u64 replayed_events = run_once(&trace, nullptr, &replayed);

@@ -3,8 +3,7 @@
 // the delay/partition budgets and count injected faults, straggler delays
 // stretch the virtual clock, transient partitions stall blocking ops until
 // the window closes while try_* ops fail fast within their deadline, gray
-// decisions share the picks stream below the tear range
-// (delay_pick(r) == -(P + 64 + 3 + r), part_pick(t) == -(2P + 64 + 3 + t))
+// decisions share the picks stream below the tear range (rma/faults.hpp)
 // and record/replay bit-identically.
 #include <gtest/gtest.h>
 
@@ -13,10 +12,6 @@
 
 namespace rmalock::rma {
 namespace {
-
-// Matches SimWorld::kTearPickSpan: the tear range is at most this wide, and
-// gray picks start right below it.
-constexpr Rank kTearPickSpan = 64;
 
 SimOptions gray_options(const topo::Topology& topology, u64 seed,
                         i32 max_delays, i32 max_partitions,
@@ -152,8 +147,8 @@ TEST(SimWorldGray, GrayPicksLiveBelowTheTearRange) {
   ASSERT_GT(result.delays + result.partitions, 0u);
   u64 delay_picks = 0;
   u64 part_picks = 0;
-  const Rank delay_base = -(nprocs + kTearPickSpan + 3);
-  const Rank part_base = -(2 * nprocs + kTearPickSpan + 3);
+  const Rank delay_base = fault_pick(FaultKind::kDelay, nprocs, 0);
+  const Rank part_base = fault_pick(FaultKind::kPartition, nprocs, 0);
   for (const Rank pick : result.schedule.picks) {
     if (pick > delay_base) continue;  // scheduler / crash / tear pick
     if (pick > part_base) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "../support/test_support.hpp"
@@ -458,6 +459,125 @@ TEST(SimWorld, MakespanEqualsSlowestProcess) {
     comm.compute(1000 * (comm.rank() + 1));
   });
   EXPECT_EQ(res.makespan_ns, 3000);
+}
+
+// ---------------------------------------------------------------------------
+// Fault decisions: one encoding table, one decision rule
+// ---------------------------------------------------------------------------
+
+TEST(FaultEncoding, PinsThePicksTheGoldenTracesContain) {
+  // Literal values recorded in tests/mc/data: changing any of them breaks
+  // every trace file in the wild.
+  EXPECT_EQ(fault_pick(FaultKind::kCrash, 4, 0), -2);
+  EXPECT_EQ(fault_pick(FaultKind::kCrash, 4, 2), -4);
+  EXPECT_EQ(fault_pick(FaultKind::kTear, 4, 1), -7);
+  EXPECT_EQ(fault_pick(FaultKind::kDelay, 4, 3), -74);
+  EXPECT_EQ(fault_pick(FaultKind::kPartition, 4, 0), -75);
+  EXPECT_EQ(fault_pick(FaultKind::kDrift, 2, 1), -74);
+}
+
+/// Gray, crash and tear armed under kVirtualTime, where the schedule is
+/// deterministic and the fault decisions are the only picks.
+SimOptions armed_virtual_time(u64 seed, u32 chance_permille) {
+  SimOptions opts;
+  opts.topology = topo::Topology::uniform({}, 2);
+  opts.seed = seed;
+  opts.policy = SchedPolicy::kVirtualTime;
+  opts.max_crashes = 1;
+  opts.crash_chance_permille = chance_permille;
+  opts.max_tears = 2;
+  opts.tear_chance_permille = chance_permille;
+  opts.max_delays = 2;
+  opts.max_partitions = 1;
+  opts.delay_chance_permille = chance_permille;
+  return opts;
+}
+
+/// Remote ops (gray decisions), 3-word get_vecs (tear decisions) and
+/// declared crash points from every rank against its neighbour.
+struct FaultRun {
+  RunResult result;
+  i64 total = 0;
+};
+FaultRun run_fault_body(SimOptions opts) {
+  auto world = SimWorld::create(std::move(opts));
+  const WinOffset off = world->allocate(3);
+  FaultRun run;
+  run.result = world->run([&](RmaComm& comm) {
+    const Rank peer = (comm.rank() + 1) % comm.nprocs();
+    for (i32 i = 0; i < 6; ++i) {
+      comm.crash_point();
+      comm.fao(1, peer, off, AccumOp::kSum);
+      i64 words[3];
+      comm.get_vec(peer, off, words, 3);
+      comm.compute(100);
+    }
+  });
+  for (Rank r = 0; r < 2; ++r) run.total += world->read_word(r, off);
+  return run;
+}
+
+u64 faults_of(const RunResult& r) {
+  return r.crashes + r.tears + r.delays + r.partitions;
+}
+
+TEST(FaultDecision, VirtualTimeRecordingReplaysPickForPick) {
+  SimOptions record = armed_virtual_time(/*seed=*/11, /*chance=*/400);
+  record.record_schedule = true;
+  const FaultRun recorded = run_fault_body(record);
+  ASSERT_GT(recorded.result.crashes, 0u);
+  ASSERT_GT(recorded.result.tears, 0u);
+  ASSERT_GT(recorded.result.delays + recorded.result.partitions, 0u);
+
+  // A different seed draws differently: only the trace can reproduce the
+  // recorded faults.
+  SimOptions replay = armed_virtual_time(/*seed=*/99, /*chance=*/400);
+  replay.replay = &recorded.result.schedule;
+  replay.record_schedule = true;
+  const FaultRun replayed = run_fault_body(replay);
+  EXPECT_EQ(replayed.result.replay_divergences, 0u);
+  EXPECT_EQ(replayed.result.schedule, recorded.result.schedule);
+  EXPECT_EQ(replayed.result.crashes, recorded.result.crashes);
+  EXPECT_EQ(replayed.result.tears, recorded.result.tears);
+  EXPECT_EQ(replayed.result.delays, recorded.result.delays);
+  EXPECT_EQ(replayed.result.partitions, recorded.result.partitions);
+  EXPECT_EQ(replayed.total, recorded.total);
+}
+
+TEST(FaultDecision, VirtualTimeNoFaultTraceInjectsNothing) {
+  // Chance 0 records one no-fault pick (the caller's rank) per decision.
+  SimOptions record = armed_virtual_time(/*seed=*/11, /*chance=*/0);
+  record.record_schedule = true;
+  const FaultRun clean = run_fault_body(record);
+  ASSERT_EQ(faults_of(clean.result), 0u);
+  ASSERT_FALSE(clean.result.schedule.empty());
+  for (const Rank pick : clean.result.schedule.picks) ASSERT_GE(pick, 0);
+
+  // Replayed against an always-fire configuration, the trace wins.
+  SimOptions replay = armed_virtual_time(/*seed=*/11, /*chance=*/1000);
+  replay.replay = &clean.result.schedule;
+  const FaultRun replayed = run_fault_body(replay);
+  EXPECT_EQ(faults_of(replayed.result), 0u);
+  EXPECT_EQ(replayed.result.replay_divergences, 0u);
+}
+
+TEST(FaultDecision, VirtualTimeHookIsConsultedAtEveryArmedDecision) {
+  SimOptions record = armed_virtual_time(/*seed=*/11, /*chance=*/0);
+  record.record_schedule = true;
+  const usize decisions = run_fault_body(record).result.schedule.size();
+  ASSERT_GT(decisions, 0u);
+
+  usize calls = 0;
+  SimOptions hooked = armed_virtual_time(/*seed=*/11, /*chance=*/1000);
+  hooked.pick_hook = [&calls](const std::vector<Rank>& candidates) {
+    ++calls;
+    EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+    EXPECT_GE(candidates.back(), 0) << "the no-fault pick comes last";
+    return candidates.back();
+  };
+  const FaultRun run = run_fault_body(hooked);
+  EXPECT_EQ(calls, decisions);
+  EXPECT_EQ(faults_of(run.result), 0u);
 }
 
 }  // namespace
