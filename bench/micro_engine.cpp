@@ -15,16 +15,20 @@
 //   mc-churn      the model-checking configuration: a fresh small world per
 //                 schedule (construction + stacks + a short random run),
 //                 which is what bounded-exhaustive sweeps do ~1e5 times;
+//   world-build   set-up cost at the figures' P: SimWorld::create plus an
+//                 RMA-RW lock, built and destroyed without a run — what
+//                 every sweep point and benchmark iteration pays first;
 //   task-pool     the mc-churn fleet driven through the work-stealing
 //                 TaskPool at jobs=1 (pool overhead vs the inline loop)
 //                 and jobs=all-cores (parallel campaign scaling) — the
 //                 overhead/scaling gate for the parallel campaign runtime.
 //
 // Metrics: engine_msteps_per_s (million scheduling-point steps / wall s),
-// sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, and for
+// sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, for
 // mc-churn/task-pool worlds_per_s (plus speedup_vs_j1 for the parallel
-// pool). Run with --json BENCH_micro_engine.json and compare records
-// across revisions (docs/PERF.md).
+// pool), and for world-build build_ms and worlds_per_s. Run with --json
+// BENCH_micro_engine.json and compare records across revisions
+// (docs/PERF.md).
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +37,7 @@
 #include "harness/bench_common.hpp"
 #include "harness/task_pool.hpp"
 #include "locks/rma_mcs.hpp"
+#include "locks/rma_rw.hpp"
 #include "rma/sim_world.hpp"
 
 namespace {
@@ -96,6 +101,24 @@ int main(int argc, char** argv) {
     const i32 acquires = env.ops_for(p, /*total_target=*/60'000);
     const EngineRun run = run_lock_loop(*world, acquires);
     add_rates(report, "virtual-time/rma-mcs", p, run);
+  }
+
+  // --- world-build: set-up cost, no run -----------------------------------
+  {
+    // World creation and lock construction must stay O(P·N): a per-pair
+    // table or a per-rank window reallocation shows here as build_ms
+    // growing faster than P.
+    const i32 builds = env.smoke ? 4 : 20;
+    for (const i32 p : env.ps) {
+      const Timer timer;
+      for (i32 b = 0; b < builds; ++b) {
+        auto world = rma::SimWorld::create(env.sim_options_for(p));
+        const locks::RmaRw lock(*world);
+      }
+      const double wall = static_cast<double>(timer.elapsed_ns());
+      report.add("world-build/rma-rw", p, "build_ms", wall / builds / 1e6);
+      report.add("world-build/rma-rw", p, "worlds_per_s", builds / wall * 1e9);
+    }
   }
 
   // --- tracing overhead context ------------------------------------------

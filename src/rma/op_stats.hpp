@@ -9,7 +9,7 @@
 // acquire than D-MCS.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -30,31 +30,30 @@ class OpStats {
  public:
   OpStats() = default;
   explicit OpStats(i32 num_distance_classes)
-      : counts_(kOpKindCount,
-                std::vector<u64>(static_cast<usize>(num_distance_classes) + 1,
-                                 0)) {}
+      : width_(static_cast<usize>(num_distance_classes) + 1),
+        counts_(kOpKindCount * width_, 0) {}
 
   void record(OpKind kind, i32 dclass) {
-    ++counts_[static_cast<usize>(kind)][static_cast<usize>(dclass)];
+    ++counts_[slot(kind, static_cast<usize>(dclass))];
   }
 
   [[nodiscard]] u64 count(OpKind kind, i32 dclass) const {
-    return counts_[static_cast<usize>(kind)][static_cast<usize>(dclass)];
+    return counts_[slot(kind, static_cast<usize>(dclass))];
   }
 
   /// All ops of one kind across distances.
   [[nodiscard]] u64 total(OpKind kind) const {
     u64 sum = 0;
-    for (const u64 c : counts_[static_cast<usize>(kind)]) sum += c;
+    for (usize d = 0; d < width_; ++d) sum += counts_[slot(kind, d)];
     return sum;
   }
 
   /// All ops with distance class >= dclass ("remote traffic beyond ...").
   [[nodiscard]] u64 total_at_least(i32 dclass) const {
     u64 sum = 0;
-    for (const auto& per_kind : counts_) {
-      for (usize d = static_cast<usize>(dclass); d < per_kind.size(); ++d) {
-        sum += per_kind[d];
+    for (usize k = 0; k < kOpKindCount; ++k) {
+      for (usize d = static_cast<usize>(dclass); d < width_; ++d) {
+        sum += counts_[k * width_ + d];
       }
     }
     return sum;
@@ -62,46 +61,49 @@ class OpStats {
 
   [[nodiscard]] u64 total_ops() const { return total_at_least(0); }
 
-  /// The `num_distance_classes` the stats were constructed with. The rows
-  /// hold one extra slot (class 0 = self), so this subtracts it back out
+  /// The `num_distance_classes` the stats were constructed with. A row
+  /// holds one extra slot (class 0 = self), so this subtracts it back out
   /// rather than reporting the raw row width.
   [[nodiscard]] i32 num_distance_classes() const {
-    return counts_.empty() ? 0 : static_cast<i32>(counts_[0].size()) - 1;
+    return width_ == 0 ? 0 : static_cast<i32>(width_) - 1;
   }
 
-  void reset() {
-    for (auto& per_kind : counts_) {
-      for (auto& c : per_kind) c = 0;
-    }
-  }
+  void reset() { std::fill(counts_.begin(), counts_.end(), 0); }
 
   OpStats& operator+=(const OpStats& other) {
     if (counts_.empty()) {
-      counts_ = other.counts_;
+      *this = other;
       return *this;
     }
-    for (usize k = 0; k < counts_.size(); ++k) {
-      for (usize d = 0; d < counts_[k].size(); ++d) {
-        counts_[k][d] += other.counts_[k][d];
-      }
-    }
+    combine(other, [](u64& a, u64 b) { a += b; });
     return *this;
   }
 
   /// Counter-wise difference (for measuring a phase: after - before).
   OpStats& operator-=(const OpStats& other) {
-    for (usize k = 0; k < counts_.size() && k < other.counts_.size(); ++k) {
-      for (usize d = 0;
-           d < counts_[k].size() && d < other.counts_[k].size(); ++d) {
-        counts_[k][d] -= other.counts_[k][d];
-      }
-    }
+    combine(other, [](u64& a, u64 b) { a -= b; });
     return *this;
   }
 
  private:
-  // counts_[kind][distance_class]
-  std::vector<std::vector<u64>> counts_;
+  [[nodiscard]] usize slot(OpKind kind, usize dclass) const {
+    return static_cast<usize>(kind) * width_ + dclass;
+  }
+
+  /// Applies `op` to every (kind, class) counter both stats hold.
+  template <typename Op>
+  void combine(const OpStats& other, Op op) {
+    const usize width = std::min(width_, other.width_);
+    for (usize k = 0; k < kOpKindCount; ++k) {
+      for (usize d = 0; d < width; ++d) {
+        op(counts_[k * width_ + d], other.counts_[k * other.width_ + d]);
+      }
+    }
+  }
+
+  usize width_ = 0;  // distance classes per kind, self (class 0) included
+  // counts_[kind * width_ + distance_class]: one flat row per op kind.
+  std::vector<u64> counts_;
 };
 
 }  // namespace rmalock::rma

@@ -130,25 +130,42 @@ SimWorld::SimWorld(SimOptions opts)
                               << " distance classes but topology has "
                               << topology_.num_levels() << " levels");
   const i32 p = nprocs();
+  const i32 levels = topology_.num_levels();
+  // Distance keys (see dclass_by_width_): a level whose elements have
+  // `fanout` children in their parent needs bit_width(fanout - 1) key bits.
+  // Fields are laid out from the leaf level up.
+  const auto fanout = [this](i32 level) {
+    return topology_.fanouts()[static_cast<usize>(level - 2)];
+  };
+  std::vector<i32> bits(static_cast<usize>(levels) + 1, 0);
+  i32 width = 0;
+  for (i32 level = levels; level > 1; --level) {
+    const i32 field = std::bit_width(static_cast<u32>(fanout(level) - 1));
+    RMALOCK_CHECK_MSG(width + field <= 64,
+                      "distance keys exceed 64 bits at level " << level);
+    bits[static_cast<usize>(level)] = field;
+    for (i32 w = width + 1; w <= width + field; ++w) {
+      dclass_by_width_[static_cast<usize>(w)] =
+          static_cast<u8>(levels - level + 2);
+    }
+    width += field;
+  }
+  dclass_by_width_[0] = 1;
   procs_.reserve(static_cast<usize>(p));
+  dkeys_.reserve(static_cast<usize>(p));
   for (Rank r = 0; r < p; ++r) {
     procs_.push_back(
         std::make_unique<Proc>(mix_seed(opts_.seed, static_cast<u64>(r))));
-    procs_.back()->stats = OpStats(topology_.num_levels());
+    procs_.back()->stats = OpStats(levels);
+    u64 key = 0;
+    for (i32 level = 2; level <= levels; ++level) {
+      const i32 index = topology_.element_of(r, level) % fanout(level);
+      key = key << bits[static_cast<usize>(level)] | static_cast<u64>(index);
+    }
+    dkeys_.push_back(key);
   }
-  windows_.resize(static_cast<usize>(p));
   nic_free_.assign(static_cast<usize>(p), 0);
   partition_until_.assign(static_cast<usize>(p), 0);
-  // Distance classes are pure topology: precompute the P x P table once so
-  // the per-op hot path is a byte load instead of a per-level division walk.
-  dclass_.resize(static_cast<usize>(p) * static_cast<usize>(p));
-  for (Rank a = 0; a < p; ++a) {
-    for (Rank b = 0; b < p; ++b) {
-      dclass_[static_cast<usize>(a) * static_cast<usize>(p) +
-              static_cast<usize>(b)] =
-          static_cast<u8>(distance_class(topology_, a, b));
-    }
-  }
 }
 
 SimWorld::~SimWorld() {
@@ -162,20 +179,31 @@ SimWorld::~SimWorld() {
 
 void SimWorld::grow_windows(usize words) {
   RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
-  for (auto& w : windows_) w.resize(words, 0);
-  // No run is in flight, so every waiter list is empty: re-strides freely.
-  waiter_stride_ = words;
-  waiter_heads_.assign(static_cast<usize>(nprocs()) * words, -1);
+  // Offset-major cells: the new words are appended rows, so every earlier
+  // word and waiter head keeps its index.
+  const usize cells = words * static_cast<usize>(nprocs());
+  windows_.resize(cells, 0);
+  waiter_heads_.resize(cells, -1);
+}
+
+usize SimWorld::checked_cell(Rank rank, WinOffset offset) const {
+  RMALOCK_CHECK_MSG(rank >= 0 && rank < nprocs() && offset >= 0 &&
+                        static_cast<usize>(offset) < window_words(),
+                    "window word (rank " << rank << ", offset " << offset
+                                         << ") outside " << nprocs()
+                                         << " ranks x " << window_words()
+                                         << " words");
+  return cell(rank, offset);
 }
 
 i64 SimWorld::read_word(Rank rank, WinOffset offset) const {
   RMALOCK_CHECK(!running_);
-  return windows_[static_cast<usize>(rank)][static_cast<usize>(offset)];
+  return windows_[checked_cell(rank, offset)];
 }
 
 void SimWorld::write_word(Rank rank, WinOffset offset, i64 value) {
   RMALOCK_CHECK(!running_);
-  windows_[static_cast<usize>(rank)][static_cast<usize>(offset)] = value;
+  windows_[checked_cell(rank, offset)] = value;
 }
 
 void SimWorld::init_word(Rank rank, WinOffset offset, i64 value) {
@@ -183,7 +211,7 @@ void SimWorld::init_word(Rank rank, WinOffset offset, i64 value) {
   // the windows are pre-sized (arena reservation happened before run), the
   // fiber engine is single-threaded, and an untouched cell has no waiters
   // to wake and no poll snapshots to invalidate.
-  windows_[static_cast<usize>(rank)][static_cast<usize>(offset)] = value;
+  windows_[checked_cell(rank, offset)] = value;
 }
 
 OpStats SimWorld::aggregate_stats() const {
@@ -533,10 +561,8 @@ void SimWorld::begin_stop(bool deadlock, bool step_limit) {
                    static_cast<int>(proc.state),
                    static_cast<long long>(proc.clock));
       for (const auto& [t, o] : proc.wait_cells) {
-        std::fprintf(
-            stderr, " (%d,%lld)=%lld", t, static_cast<long long>(o),
-            static_cast<long long>(
-                windows_[static_cast<usize>(t)][static_cast<usize>(o)]));
+        std::fprintf(stderr, " (%d,%lld)=%lld", t, static_cast<long long>(o),
+                     static_cast<long long>(windows_[cell(t, o)]));
       }
       std::fprintf(stderr, "\n");
     }
@@ -631,8 +657,7 @@ void SimWorld::execute_barrier(Rank origin) {
 
 i64 SimWorld::apply_to_window(OpKind kind, Rank target, WinOffset offset,
                               i64 operand, i64 cmp, AccumOp aop, bool* wrote) {
-  i64& word =
-      windows_[static_cast<usize>(target)][static_cast<usize>(offset)];
+  i64& word = windows_[cell(target, offset)];
   *wrote = false;
   switch (kind) {
     case OpKind::kPut:
@@ -666,7 +691,7 @@ i64 SimWorld::apply_to_window(OpKind kind, Rank target, WinOffset offset,
 }
 
 void SimWorld::register_waiter(Rank target, WinOffset offset, Rank waiter) {
-  const usize cell = wait_cell(target, offset);
+  i32& head = waiter_heads_[cell(target, offset)];
   i32 node;
   if (waiter_free_ != -1) {
     node = waiter_free_;
@@ -675,14 +700,12 @@ void SimWorld::register_waiter(Rank target, WinOffset offset, Rank waiter) {
     node = static_cast<i32>(waiter_nodes_.size());
     waiter_nodes_.emplace_back();
   }
-  waiter_nodes_[static_cast<usize>(node)] =
-      WaiterNode{waiter, waiter_heads_[cell]};
-  waiter_heads_[cell] = node;
+  waiter_nodes_[static_cast<usize>(node)] = WaiterNode{waiter, head};
+  head = node;
 }
 
 void SimWorld::remove_waiter(Rank target, WinOffset offset, Rank waiter) {
-  const usize cell = wait_cell(target, offset);
-  i32* link = &waiter_heads_[cell];
+  i32* link = &waiter_heads_[cell(target, offset)];
   while (*link != -1) {
     WaiterNode& node = waiter_nodes_[static_cast<usize>(*link)];
     if (node.rank == waiter) {
@@ -708,10 +731,10 @@ void SimWorld::trace_event_slow(Rank origin, obs::EventCode code, i64 a,
 }
 
 void SimWorld::wake_waiters(Rank target, WinOffset offset, Nanos write_time) {
-  const usize cell = wait_cell(target, offset);
-  i32 head = waiter_heads_[cell];
+  i32& first = waiter_heads_[cell(target, offset)];
+  i32 head = first;
   if (head == -1) return;
-  waiter_heads_[cell] = -1;
+  first = -1;
   while (head != -1) {
     const Rank r = waiter_nodes_[static_cast<usize>(head)].rank;
     const i32 next = waiter_nodes_[static_cast<usize>(head)].next;
@@ -807,8 +830,7 @@ bool SimWorld::poll_snapshot_is_current(Proc& proc) {
   bool current = true;
   for (i32 i = 0; i < proc.num_polls; ++i) {
     PollEntry& entry = proc.polls[static_cast<usize>(i)];
-    const i64 actual = windows_[static_cast<usize>(entry.target)]
-                               [static_cast<usize>(entry.offset)];
+    const i64 actual = windows_[cell(entry.target, entry.offset)];
     if (actual != entry.value) {
       // The caller has not *received* this value yet (the change landed
       // after its last read), so it counts for zero confirmations — the
@@ -911,8 +933,7 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
     bump_step(origin);
     self.stats.record(kind, dclass);
     RMALOCK_DCHECK(offset >= 0 &&
-                   static_cast<usize>(offset) <
-                       windows_[static_cast<usize>(target)].size());
+                   static_cast<usize>(offset) < window_words());
 
     // Cost accounting: a blocking op charges full end-to-end latency at the
     // op; a nonblocking op charges the origin only its injection slot here
@@ -978,8 +999,7 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   Proc& self = *procs_[static_cast<usize>(origin)];
   RMALOCK_DCHECK(target >= 0 && target < nprocs());
   RMALOCK_DCHECK(offset >= 0 &&
-                 static_cast<usize>(offset) + n <=
-                     windows_[static_cast<usize>(target)].size());
+                 static_cast<usize>(offset) + n <= window_words());
   const i32 dclass = dclass_of(origin, target);
 
   const Nanos cost = remote_op_faults(origin, target, OpKind::kGet, dclass);
@@ -1021,11 +1041,11 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   // A vectored read is not a spin primitive (validated-read protocols retry
   // a bounded number of times, then fall back to a lock), so it never parks.
   clear_polls(self);
+  // Consecutive words of one rank are P cells apart in the arena.
   const usize prefix = split == 0 ? n : split;
-  const auto& win = windows_[static_cast<usize>(target)];
-  for (usize i = 0; i < prefix; ++i) {
-    out[i] = win[static_cast<usize>(offset) + i];
-  }
+  const usize stride = static_cast<usize>(nprocs());
+  const usize first = cell(target, offset);
+  for (usize i = 0; i < prefix; ++i) out[i] = windows_[first + i * stride];
   if (split != 0) {
     ++result_.tears;
     trace_event(origin, obs::EventCode::kTear, target,
@@ -1034,9 +1054,7 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
     // between the two halves, then read the suffix from the (possibly
     // updated) window.
     yield_cpu(origin);
-    for (usize i = split; i < n; ++i) {
-      out[i] = win[static_cast<usize>(offset) + i];
-    }
+    for (usize i = split; i < n; ++i) out[i] = windows_[first + i * stride];
   }
   yield_cpu(origin);
 }
@@ -1168,8 +1186,7 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
   Proc& self = *procs_[static_cast<usize>(origin)];
   RMALOCK_DCHECK(target >= 0 && target < nprocs());
   RMALOCK_DCHECK(offset >= 0 &&
-                 static_cast<usize>(offset) <
-                     windows_[static_cast<usize>(target)].size());
+                 static_cast<usize>(offset) < window_words());
   const i32 dclass = dclass_of(origin, target);
   const Nanos cost = remote_op_faults(origin, target, kind, dclass);
 

@@ -53,6 +53,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -340,19 +341,29 @@ class SimWorld final : public World {
   void make_runnable(Proc& proc, Rank rank);
   void unregister_waits(Proc& proc, Rank rank);
 
-  // --- waiter arena --------------------------------------------------------
-  [[nodiscard]] usize wait_cell(Rank target, WinOffset offset) const {
-    return static_cast<usize>(target) * waiter_stride_ +
-           static_cast<usize>(offset);
+  // --- window arena --------------------------------------------------------
+  /// Index of (rank, offset) in windows_ and waiter_heads_ (hot: once per
+  /// op, whose bounds the op paths only DCHECK).
+  [[nodiscard]] usize cell(Rank rank, WinOffset offset) const {
+    return static_cast<usize>(offset) * static_cast<usize>(nprocs()) +
+           static_cast<usize>(rank);
   }
+  /// cell() for the direct-access API: checks rank < P and offset <
+  /// window_words(), since an out-of-range offset would otherwise alias
+  /// another rank's word instead of leaving the arena.
+  [[nodiscard]] usize checked_cell(Rank rank, WinOffset offset) const;
   void register_waiter(Rank target, WinOffset offset, Rank waiter);
   void remove_waiter(Rank target, WinOffset offset, Rank waiter);
 
-  /// Distance class of (origin, target), precomputed (hot: once per op).
+  /// Distance class of (origin, target) (hot: once per op): 0 for self,
+  /// else read off the highest bit in which the two ranks' keys differ,
+  /// which lies in the field of the coarsest level that separates them.
   [[nodiscard]] i32 dclass_of(Rank origin, Rank target) const {
-    return dclass_[static_cast<usize>(origin) *
-                       static_cast<usize>(nprocs()) +
-                   static_cast<usize>(target)];
+    const u64 apart = dkeys_[static_cast<usize>(origin)] ^
+                      dkeys_[static_cast<usize>(target)];
+    return origin == target
+               ? 0
+               : dclass_by_width_[static_cast<usize>(std::bit_width(apart))];
   }
 
   // Per-process accessors used by SimComm.
@@ -397,20 +408,28 @@ class SimWorld final : public World {
 
   SimOptions opts_;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::vector<std::vector<i64>> windows_;  // [rank][offset]
-  std::vector<Nanos> nic_free_;            // per-rank NIC availability time
+  // Window memory, one word per cell(rank, offset): offset-major, so
+  // allocate() appends whole P-word rows and never moves earlier words.
+  std::vector<i64> windows_;
+  std::vector<Nanos> nic_free_;  // per-rank NIC availability time
   // Gray model: per-rank virtual time until which the rank is unreachable
   // (transient partition). All-zero when the model is unarmed, making the
   // stall below a no-op.
   std::vector<Nanos> partition_until_;
-  std::vector<u8> dclass_;  // [origin * P + target] distance classes
+  // Distance keys for dclass_of: dkeys_[r] packs rank r's element index
+  // within its parent element at each level 2..N (level 1, the whole
+  // machine, is shared by every pair), one field per level, the coarsest
+  // level in the highest bits, each field just wide enough for its fanout.
+  // Two ranks share their level-i element iff their fields for levels
+  // 2..i agree. dclass_by_width_[w] is the class of two distinct ranks
+  // whose keys differ at most up to bit w - 1 (w = 0: same leaf, class 1).
+  std::vector<u64> dkeys_;
+  std::array<u8, 65> dclass_by_width_{};
 
   // Parked-waiter arena: one singly-linked list of ranks per window cell
   // (may hold stale entries for procs already woken; filtered by state on
-  // wake). Heads are indexed rank * waiter_stride_ + offset; nodes live in
-  // a free-listed per-world arena so parking never heap-allocates after
-  // warmup — the previous vector<vector<vector<Rank>>> shape paid an
-  // allocation per first park on every cell of every run.
+  // wake). Heads share windows_' cell() layout; nodes live in a free-listed
+  // per-world arena so parking never heap-allocates after warmup.
   struct WaiterNode {
     Rank rank = kNilRank;
     i32 next = -1;  // index into waiter_nodes_; -1 = end of chain
@@ -418,7 +437,6 @@ class SimWorld final : public World {
   std::vector<i32> waiter_heads_;  // -1 = empty cell
   std::vector<WaiterNode> waiter_nodes_;
   i32 waiter_free_ = -1;  // free list threaded through WaiterNode::next
-  usize waiter_stride_ = 0;  // == window words per rank
 
   // Scheduler state (valid during run()).
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>

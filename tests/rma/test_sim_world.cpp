@@ -38,6 +38,66 @@ TEST(SimWorld, DirectReadWriteWord) {
   EXPECT_EQ(world->read_word(0, off), 0);  // windows are per rank
 }
 
+TEST(SimWorld, WindowWordsSurviveGrowthAndStayPerRank) {
+  // Every rank's words live in one arena: growth must keep each earlier
+  // word, and a vectored read must return the target's own consecutive
+  // words, never a neighbouring rank's word at the same offset.
+  const auto topology = topo::Topology::uniform({2}, 3);  // P = 6
+  const i32 p = topology.nprocs();
+  auto world = make_sim(topology);
+  const auto value = [](Rank rank, WinOffset offset) {
+    return 1000 * static_cast<i64>(rank + 1) + offset;
+  };
+  for (const usize words : {1, 3, 2, 5}) {
+    const WinOffset base = world->allocate(words);
+    for (Rank r = 0; r < p; ++r) {
+      for (WinOffset o = base; o < base + static_cast<WinOffset>(words);
+           ++o) {
+        world->write_word(r, o, value(r, o));
+      }
+    }
+    for (Rank r = 0; r < p; ++r) {
+      for (WinOffset o = 0; o < base; ++o) {
+        EXPECT_EQ(world->read_word(r, o), value(r, o))
+            << "rank " << r << " offset " << o << " after growing to "
+            << world->window_words() << " words";
+      }
+    }
+  }
+  const usize n = world->window_words();
+  ASSERT_EQ(n, 11u);
+  world->run([&](RmaComm& comm) {
+    std::vector<i64> words(n);
+    for (Rank target = 0; target < p; ++target) {
+      comm.get_vec(target, 0, words.data(), n);
+      for (usize i = 0; i < n; ++i) {
+        EXPECT_EQ(words[i], value(target, static_cast<WinOffset>(i)))
+            << "rank " << comm.rank() << " read rank " << target
+            << " word " << i;
+      }
+      // A suffix read starting mid-window walks the same rank's words.
+      comm.get_vec(target, 4, words.data(), 3);
+      for (usize i = 0; i < 3; ++i) {
+        EXPECT_EQ(words[i], value(target, static_cast<WinOffset>(4 + i)));
+      }
+    }
+  });
+}
+
+TEST(SimWorldDeathTest, DirectWordAccessIsBoundsChecked) {
+  // All ranks' words share one arena, where an unchecked rank or offset
+  // would silently alias another rank's word: on 2 ranks, (rank 2,
+  // offset 0) would land on (rank 0, offset 1).
+  auto world = make_sim(topo::Topology::uniform({}, 2));
+  world->allocate(2);
+  EXPECT_DEATH((void)world->read_word(0, 2), "outside 2 ranks x 2 words");
+  EXPECT_DEATH((void)world->read_word(-1, 0), "outside 2 ranks x 2 words");
+  EXPECT_DEATH(world->write_word(2, 0, 1), "outside 2 ranks x 2 words");
+  EXPECT_DEATH(world->write_word(0, -1, 1), "outside 2 ranks x 2 words");
+  EXPECT_DEATH(world->init_word(1, 2, 1), "outside 2 ranks x 2 words");
+  EXPECT_DEATH(world->init_word(2, 1, 1), "outside 2 ranks x 2 words");
+}
+
 TEST(SimWorld, PutAndGetRoundTrip) {
   auto world = make_sim(topo::Topology::uniform({}, 2));
   const WinOffset off = world->allocate(1);
@@ -350,20 +410,52 @@ TEST(SimWorld, PerProcessRngStreamsDiffer) {
 }
 
 TEST(SimWorld, StatsAttributeDistanceClasses) {
-  auto world = make_sim(topo::Topology::nodes(2, 2));
-  const WinOffset off = world->allocate(1);
-  world->run([&](RmaComm& comm) {
-    if (comm.rank() != 0) return;
-    comm.put(1, 0, off);  // self
-    comm.put(1, 1, off);  // intra-node
-    comm.put(1, 2, off);  // inter-node
-    comm.flush(2);
-  });
-  const OpStats stats = world->aggregate_stats();
-  EXPECT_EQ(stats.count(OpKind::kPut, 0), 1u);
-  EXPECT_EQ(stats.count(OpKind::kPut, 1), 1u);
-  EXPECT_EQ(stats.count(OpKind::kPut, 2), 1u);
-  EXPECT_EQ(stats.count(OpKind::kFlush, 2), 1u);
+  // Every (origin, target) pair on a 2-level, a 3-level and a skewed
+  // machine (its single-element middle level means class 3 never occurs),
+  // plus a 4-level one with fanouts that are not powers of two: each op is
+  // counted in exactly the class distance_class() names.
+  for (const topo::Topology& topology :
+       {topo::Topology::nodes(4, 4), topo::Topology::uniform({2, 2}, 2),
+        topo::Topology::uniform({1, 4}, 3),
+        topo::Topology::uniform({3, 2, 3}, 2)}) {
+    SCOPED_TRACE(topology.describe());
+    const i32 p = topology.nprocs();
+    auto world = make_sim(topology);
+    const WinOffset off = world->allocate(1);
+    world->run([&](RmaComm& comm) {
+      const Rank me = comm.rank();
+      for (Rank target = 0; target < p; ++target) {
+        const i32 dclass = distance_class(topology, me, target);
+        const OpStats before = comm.stats();
+        comm.put(1, target, off);
+        (void)comm.get(target, off);
+        comm.flush(target);
+        OpStats delta = comm.stats();
+        delta -= before;
+        EXPECT_EQ(delta.count(OpKind::kPut, dclass), 1u)
+            << "origin " << me << " target " << target;
+        EXPECT_EQ(delta.count(OpKind::kGet, dclass), 1u)
+            << "origin " << me << " target " << target;
+        EXPECT_EQ(delta.count(OpKind::kFlush, dclass), 1u)
+            << "origin " << me << " target " << target;
+        EXPECT_EQ(delta.total_ops(), 3u)
+            << "origin " << me << " target " << target;
+      }
+    });
+    std::vector<u64> pairs(static_cast<usize>(topology.num_levels()) + 1, 0);
+    for (Rank a = 0; a < p; ++a) {
+      for (Rank b = 0; b < p; ++b) {
+        ++pairs[static_cast<usize>(distance_class(topology, a, b))];
+      }
+    }
+    const OpStats stats = world->aggregate_stats();
+    for (i32 c = 0; c <= topology.num_levels(); ++c) {
+      const u64 expected = pairs[static_cast<usize>(c)];
+      EXPECT_EQ(stats.count(OpKind::kPut, c), expected) << "class " << c;
+      EXPECT_EQ(stats.count(OpKind::kGet, c), expected) << "class " << c;
+      EXPECT_EQ(stats.count(OpKind::kFlush, c), expected) << "class " << c;
+    }
+  }
 }
 
 TEST(SimWorld, ResetStatsClears) {
