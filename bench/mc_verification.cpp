@@ -109,27 +109,6 @@ mc::LeaseLockFactory lease_lock(locks::Backend inner, bool fence) {
   };
 }
 
-/// Write-side view of an RW lock, so the timed-acquire campaigns can drive
-/// RmaRw::try_acquire_write_for through the ExclusiveLock interface.
-class WriteLockAdapter final : public locks::ExclusiveLock {
- public:
-  explicit WriteLockAdapter(std::unique_ptr<locks::RwLock> inner)
-      : inner_(std::move(inner)) {}
-  void acquire(rma::RmaComm& comm) override { inner_->acquire_write(comm); }
-  void release(rma::RmaComm& comm) override { inner_->release_write(comm); }
-  locks::AcquireResult try_acquire_for(
-      rma::RmaComm& comm, Nanos deadline_ns,
-      const locks::RetryPolicy& retry) override {
-    return inner_->try_acquire_write_for(comm, deadline_ns, retry);
-  }
-  [[nodiscard]] std::string name() const override {
-    return inner_->name() + " (write side)";
-  }
-
- private:
-  std::unique_ptr<locks::RwLock> inner_;
-};
-
 /// A small keyed grid (4 slots per shard, shards per leaf), so P=2 machines
 /// still offer distinct slots for K=2 keys.
 mc::LockSpaceFactory keyed_space(locks::Backend backend) {
@@ -247,7 +226,7 @@ const std::vector<Registered>& registry() {
     using locks::Backend;
     const mc::ExclusiveLockFactory rw_write_side =
         [](rma::World& world) -> std::unique_ptr<locks::ExclusiveLock> {
-      return std::make_unique<WriteLockAdapter>(rma_rw_lock()(world));
+      return locks::write_side(rma_rw_lock()(world));
     };
     const mc::ExclusiveLockFactory lease_mcs =
         [](rma::World& world) -> std::unique_ptr<locks::ExclusiveLock> {

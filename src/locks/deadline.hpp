@@ -19,6 +19,8 @@
 // valve, which the starvation monitor flags (see mc/monitor.hpp).
 #pragma once
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "rma/comm.hpp"
@@ -41,6 +43,9 @@ struct AcquireResult {
 
   [[nodiscard]] bool ok() const { return status == AcquireStatus::kAcquired; }
 };
+
+/// "No deadline": the blocking paths' value for a deadline parameter.
+inline constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
 
 /// An absolute deadline in the calling process's now_ns() timeline.
 struct Deadline {
@@ -101,5 +106,26 @@ struct RetryPolicy {
     return delay;
   }
 };
+
+/// The one retry loop of every timed acquire. Calls `attempt()` (true = the
+/// lock is held) until it succeeds, the deadline passes, or
+/// `retry.max_attempts` attempts are spent; between attempts it backs off
+/// delay_for(k) of virtual time (RmaComm::compute) drawn from comm.rng().
+/// An already-expired deadline still gets one attempt. A failed attempt
+/// must leave nothing held.
+template <typename Attempt>
+AcquireResult retry_until(rma::RmaComm& comm, Nanos deadline_ns,
+                          const RetryPolicy& retry, Attempt&& attempt) {
+  for (u32 attempts = 1;; ++attempts) {
+    if (attempt()) return AcquireResult{AcquireStatus::kAcquired, attempts};
+    // The attempts valve fires even when the clock is frozen (see
+    // RetryPolicy::max_attempts); the deadline governs the common case.
+    if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
+      return AcquireResult{AcquireStatus::kTimeout, attempts};
+    }
+    const Nanos delay = retry.delay_for(attempts - 1, comm.rng());
+    if (delay > 0) comm.compute(delay);
+  }
+}
 
 }  // namespace rmalock::locks

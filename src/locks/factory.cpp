@@ -1,7 +1,6 @@
 #include "locks/factory.hpp"
 
 #include "locks/d_mcs.hpp"
-#include "locks/dtree.hpp"
 #include "locks/fompi_rw.hpp"
 #include "locks/fompi_spin.hpp"
 #include "locks/lease.hpp"
@@ -12,37 +11,6 @@ namespace rmalock::locks {
 
 namespace {
 
-/// DistributedTree driven as a plain exclusive lock: the locality threshold
-/// is pinned to 1, so every release takes the full release-upward path
-/// through all levels — the branch RMA-MCS only reaches after exhausting
-/// T_L,q local passes. (Previously a private helper of the conformance
-/// matrix; LockSpace needs it as a constructible backend.)
-class DTreeExclusive final : public ExclusiveLock {
- public:
-  explicit DTreeExclusive(rma::World& world) : tree_(world) {}
-
-  void acquire(rma::RmaComm& comm) override {
-    for (i32 q = tree_.num_levels(); q >= 1; --q) {
-      if (tree_.acquire_level(comm, q).acquired) return;
-    }
-    // Climbed past the root with no predecessor: the lock is ours.
-  }
-
-  void release(rma::RmaComm& comm) override {
-    i32 q = tree_.num_levels();
-    while (q >= 2 && !tree_.try_pass_local(comm, q, /*tl=*/1)) --q;
-    if (q == 1) tree_.release_root_exclusive(comm);
-    for (i32 up = q + 1; up <= tree_.num_levels(); ++up) {
-      tree_.finish_release_upward(comm, up);
-    }
-  }
-
-  [[nodiscard]] std::string name() const override { return "DTree"; }
-
- private:
-  DistributedTree tree_;
-};
-
 /// RwLock driven as an exclusive lock (writer mode only), so RW backends
 /// can serve exclusive callers through one interface.
 class RwAsExclusive final : public ExclusiveLock {
@@ -51,6 +19,10 @@ class RwAsExclusive final : public ExclusiveLock {
 
   void acquire(rma::RmaComm& comm) override { rw_->acquire_write(comm); }
   void release(rma::RmaComm& comm) override { rw_->release_write(comm); }
+  AcquireResult try_acquire_for(rma::RmaComm& comm, Nanos deadline_ns,
+                                const RetryPolicy& retry) override {
+    return rw_->try_acquire_write_for(comm, deadline_ns, retry);
+  }
   [[nodiscard]] std::string name() const override { return rw_->name(); }
 
  private:
@@ -90,6 +62,10 @@ const std::vector<Backend>& all_backends() {
   return kAll;
 }
 
+std::unique_ptr<ExclusiveLock> write_side(std::unique_ptr<RwLock> rw) {
+  return std::make_unique<RwAsExclusive>(std::move(rw));
+}
+
 std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
                                               Rank home) {
   switch (b) {
@@ -99,11 +75,18 @@ std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
       return std::make_unique<DMcs>(world, resolve_home(home));
     case Backend::kRmaMcs:
       return std::make_unique<RmaMcs>(world);
-    case Backend::kDTree:
-      return std::make_unique<DTreeExclusive>(world);
+    case Backend::kDTree: {
+      // The bare tree is RMA-MCS with every T_L,q = 1: at most one local
+      // pass per element before the lock moves up, so releases mostly take
+      // the release-upward path RMA-MCS reaches only after T_L,q passes.
+      RmaMcsParams params;
+      params.locality.assign(
+          static_cast<usize>(world.topology().num_levels()), 1);
+      return std::make_unique<RmaMcs>(world, std::move(params));
+    }
     case Backend::kFompiRw:
     case Backend::kRmaRw:
-      return std::make_unique<RwAsExclusive>(make_rw(b, world, home));
+      return write_side(make_rw(b, world, home));
     case Backend::kLeaseMcs:
     case Backend::kLeaseRw: {
       // Inner lock first: its words precede the lease word, which is what

@@ -28,7 +28,7 @@ enum class Backend : u8 {
   kFompiSpin,  // centralized TTS spinlock (exclusive)
   kDMcs,       // distributed MCS queue (exclusive)
   kRmaMcs,     // topology-aware MCS (exclusive)
-  kDTree,      // DistributedTree driven as an exclusive lock (T_L = 1)
+  kDTree,      // the bare DistributedTree: RMA-MCS with every T_L,q = 1
   kFompiRw,    // centralized reader-writer (rw)
   kRmaRw,      // topology-aware reader-writer (rw)
   kLeaseMcs,   // LeaseExclusive over RMA-MCS (crash recovery; exclusive)
@@ -52,11 +52,16 @@ enum class Backend : u8 {
 [[nodiscard]] const std::vector<Backend>& all_backends();
 
 /// Collective: constructs one exclusive lock of the given backend. RW
-/// backends are adapted (acquire == acquire_write) so every backend can
-/// serve exclusive callers. `home` as documented above; kNilRank = rank 0
+/// backends are adapted through write_side() so every backend can serve
+/// exclusive callers. `home` as documented above; kNilRank = rank 0
 /// for the centralized protocols.
 std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
                                               Rank home = kNilRank);
+
+/// The write side of `rw` as an exclusive lock: acquire == acquire_write,
+/// try_acquire_for == try_acquire_write_for (backends without a timed
+/// write path keep the blocking fallback).
+std::unique_ptr<ExclusiveLock> write_side(std::unique_ptr<RwLock> rw);
 
 /// Collective: constructs one reader-writer lock. Exclusive-only backends
 /// return nullptr — callers that need shared mode must check

@@ -78,41 +78,33 @@ AcquireResult LeaseExclusive::try_acquire_for(rma::RmaComm& comm,
                                               Nanos deadline_ns,
                                               const RetryPolicy& retry) {
   const Rank me = comm.rank();
-  u32 attempts = 0;
-  for (;;) {
-    ++attempts;
+  return retry_until(comm, deadline_ns, retry, [&] {
     // Deadline-bounded probe of the lease word. Unlike acquire_epoch we
     // never queue on the inner lock: a timed claimant must hold nothing on
     // timeout, and the inner queue would strand us behind a gray holder —
     // exactly what the deadline exists to escape. The cost is CAS
     // contention between concurrent timed claimants, which the backoff
     // absorbs.
-    const rma::TryResult probe = comm.try_get(params_.home, lease_,
+    const rma::TryResult probe =
+        comm.try_get(params_.home, lease_, deadline_ns);
+    if (!probe.ok()) return false;
+    const i64 word = probe.value;
+    const i64 epoch = epoch_of(word);
+    const Rank owner = owner_of(word);
+    if (owner != kNilRank && owner != me && !comm.suspected(owner)) {
+      return false;
+    }
+    // Same fencing rule as acquire_epoch: a free take or a reclaim
+    // (including our own restarted orphan) starts a fresh epoch, so a
+    // timed grant composes with epoch fencing exactly like a blocking one
+    // and release() applies unchanged.
+    const i64 next_epoch =
+        (owner == kNilRank || params_.fence_on_steal) ? epoch + 1 : epoch;
+    const rma::TryResult claim = comm.try_cas(pack(next_epoch, me), word,
+                                              params_.home, lease_,
                                               deadline_ns);
-    if (probe.ok()) {
-      const i64 word = probe.value;
-      const i64 epoch = epoch_of(word);
-      const Rank owner = owner_of(word);
-      if (owner == kNilRank || owner == me || comm.suspected(owner)) {
-        // Same fencing rule as acquire_epoch: a free take or a reclaim
-        // (including our own restarted orphan) starts a fresh epoch, so a
-        // timed grant composes with epoch fencing exactly like a blocking
-        // one and release() applies unchanged.
-        const i64 next_epoch =
-            (owner == kNilRank || params_.fence_on_steal) ? epoch + 1 : epoch;
-        const rma::TryResult claim = comm.try_cas(
-            pack(next_epoch, me), word, params_.home, lease_, deadline_ns);
-        if (claim.ok() && claim.value == word) {
-          return AcquireResult{AcquireStatus::kAcquired, attempts};
-        }
-      }
-    }
-    if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
-      return AcquireResult{AcquireStatus::kTimeout, attempts};
-    }
-    const Nanos delay = retry.delay_for(attempts - 1, comm.rng());
-    if (delay > 0) comm.compute(delay);
-  }
+    return claim.ok() && claim.value == word;
+  });
 }
 
 void LeaseExclusive::release(rma::RmaComm& comm) {

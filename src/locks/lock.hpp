@@ -58,16 +58,8 @@ class RwLock {
   virtual void acquire_write(rma::RmaComm& comm) = 0;
   virtual void release_write(rma::RmaComm& comm) = 0;
 
-  /// Deadline-bounded variants (see ExclusiveLock::try_acquire_for).
-  /// Defaults fall back to the blocking paths.
-  virtual AcquireResult try_acquire_read_for(rma::RmaComm& comm,
-                                             Nanos deadline_ns,
-                                             const RetryPolicy& retry) {
-    (void)deadline_ns;
-    (void)retry;
-    acquire_read(comm);
-    return AcquireResult{};
-  }
+  /// Deadline-bounded write acquire (see ExclusiveLock::try_acquire_for).
+  /// The default falls back to the blocking path.
   virtual AcquireResult try_acquire_write_for(rma::RmaComm& comm,
                                               Nanos deadline_ns,
                                               const RetryPolicy& retry) {

@@ -43,13 +43,12 @@ class RmaMcs final : public ExclusiveLock {
 
   void acquire(rma::RmaComm& comm) override;
   void release(rma::RmaComm& comm) override;
-  /// Timed acquire: CAS-if-empty enqueue per level from the leaf to the
-  /// root — never waits behind a predecessor, so a gray (straggling or
-  /// partitioned) holder cannot strand the caller in a queue. A failed
-  /// climb abandons the already-won levels through the normal
-  /// release-upward handoff and retries with backoff until the deadline.
-  /// A successful claim is indistinguishable from a contention-free
-  /// acquire(), so release() applies unchanged.
+  /// Timed acquire: DistributedTree::try_climb to the root under
+  /// retry_until — never waits behind a predecessor, so a gray (straggling
+  /// or partitioned) holder cannot strand the caller in a queue. A failed
+  /// climb leaves the already-won levels and retries with backoff until
+  /// the deadline. A successful claim is indistinguishable from a
+  /// contention-free acquire(), so release() applies unchanged.
   AcquireResult try_acquire_for(rma::RmaComm& comm, Nanos deadline_ns,
                                 const RetryPolicy& retry) override;
   [[nodiscard]] std::string name() const override { return "RMA-MCS"; }
@@ -58,10 +57,6 @@ class RmaMcs final : public ExclusiveLock {
   [[nodiscard]] const DistributedTree& tree() const { return tree_; }
 
  private:
-  [[nodiscard]] i64 locality_threshold(i32 q) const {
-    return params_.locality[static_cast<usize>(q - 1)];
-  }
-
   DistributedTree tree_;
   RmaMcsParams params_;
 };

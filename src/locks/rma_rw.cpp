@@ -43,13 +43,18 @@ void RmaRw::set_counters_to_write(rma::RmaComm& comm) {
   }
 }
 
-void RmaRw::drain_readers(rma::RmaComm& comm) {
+bool RmaRw::drain_readers(rma::RmaComm& comm, Nanos deadline_ns,
+                          u32 max_polls) {
   // §4.1: after changing all counters the writer "checks each counter
   // again for active readers" — wait until every reader that slipped in
   // before the flag has left the CS (ARRIVE - flag == DEPART; back-offs
   // cancel their own arrivals).
   for (const Rank host : counter_hosts_) {
-    for (;;) {
+    for (u32 polls = 1;; ++polls) {
+      if (polls > max_polls ||
+          (deadline_ns != kNoDeadline && comm.now_ns() >= deadline_ns)) {
+        return false;
+      }
       const i64 arrived = comm.get(host, arrive_);
       const i64 departed = comm.get(host, depart_);
       comm.flush(host);
@@ -64,6 +69,7 @@ void RmaRw::drain_readers(rma::RmaComm& comm) {
       if (arrived - kWriteFlag == departed) break;
     }
   }
+  return true;
 }
 
 void RmaRw::reset_counters(rma::RmaComm& comm) {
@@ -138,105 +144,49 @@ void RmaRw::reader_reset_counter(rma::RmaComm& comm, Rank counter) {
 void RmaRw::acquire_read(rma::RmaComm& comm) {
   {
     rma::ObsSpan span(comm, obs::EventCode::kAcquireRead);
-    acquire_read_impl(comm);
-  }
-  rma::obs_event(comm, obs::EventCode::kReadSection, obs::Phase::kBegin);
-}
-
-void RmaRw::acquire_read_impl(rma::RmaComm& comm) {
-  const Rank counter = counter_of(comm.rank());
-  const Rank root_tail = tree_.tail_host(comm.rank(), 1);
-  bool done = false;
-  bool barrier = false;
-  while (!done) {
-    if (barrier) {
-      // Wait for the counter to come back under T_R. Listing 9 waits
-      // passively, relying on the exact T_R-th arrival to have performed
-      // the reset — but concurrent back-off decrements can reorder the
-      // observed FAO values so that *no* reader sees exactly T_R while the
-      // root queue is empty, leaving ARRIVE stuck at >= T_R forever (see
-      // DESIGN.md §2.6). Backed-off readers therefore share the reset
-      // duty: whoever observes a plain (unflagged) T_R overrun with no
-      // writer queued reclaims the departed count (exactly once, via the
-      // CAS claim in reader_reset_counter).
-      for (;;) {
-        const i64 current = comm.get(counter, arrive_);
-        comm.flush(counter);
-        if (current < params_.tr) break;  // counter reopened
-        if (current < kWriteFlagThreshold) {  // T_R overrun, no WRITE flag
-          const i64 tail = comm.get(root_tail, tree_.tail_offset(1));
-          comm.flush(root_tail);
-          if (tail == kNilRank) {  // no waiting writers: reopen ourselves
+    const Rank counter = counter_of(comm.rank());
+    bool barrier = false;
+    for (;;) {
+      if (barrier) {
+        // Wait for the counter to come back under T_R. Listing 9 waits
+        // passively, relying on the exact T_R-th arrival to have performed
+        // the reset — but concurrent back-off decrements can reorder the
+        // observed FAO values so that *no* reader sees exactly T_R while
+        // the root queue is empty, leaving ARRIVE stuck at >= T_R forever
+        // (see DESIGN.md §2.6). Backed-off readers therefore share the
+        // reset duty: whoever observes a plain (unflagged) T_R overrun with
+        // no writer queued reclaims the departed count (exactly once, via
+        // the CAS claim in reader_reset_counter).
+        for (;;) {
+          const i64 current = comm.get(counter, arrive_);
+          comm.flush(counter);
+          if (current < params_.tr) break;  // counter reopened
+          // T_R overrun, no WRITE flag, no waiting writers: reopen
+          // ourselves. Otherwise a writer is queued: it will flag, drain,
+          // and reset.
+          if (current < kWriteFlagThreshold && tree_.root_queue_empty(comm)) {
             reader_reset_counter(comm, counter);
           }
-          // Otherwise a writer is queued: it will flag, drain, and reset.
         }
       }
-    }
-    // Increment the arrival counter.
-    const i64 current = comm.fao(1, counter, arrive_, rma::AccumOp::kSum);
-    comm.flush(counter);
-    if (current >= params_.tr) {  // T_R reached (or WRITE mode)
+      // Increment the arrival counter.
+      const i64 current = comm.fao(1, counter, arrive_, rma::AccumOp::kSum);
+      comm.flush(counter);
+      if (current < params_.tr) break;  // admitted: we are in the CS
+      // T_R reached (or WRITE mode).
       barrier = true;
-      if (current == params_.tr) {  // we are the first to reach T_R
-        // Pass the lock to the writers if any are waiting at the root.
-        const i64 tail = comm.get(root_tail, tree_.tail_offset(1));
-        comm.flush(root_tail);
-        if (tail == kNilRank) {  // no waiting writers: keep reading
-          reader_reset_counter(comm, counter);
-          barrier = false;
-        }
+      // The first to reach T_R passes the lock to the writers if any are
+      // waiting at the root; with none waiting, keep reading.
+      if (current == params_.tr && tree_.root_queue_empty(comm)) {
+        reader_reset_counter(comm, counter);
+        barrier = false;
       }
       // Back off and try again.
       comm.iaccumulate(-1, counter, arrive_, rma::AccumOp::kSum);
       comm.flush(counter);
-    } else {
-      done = true;  // admitted: we are in the CS
     }
   }
-}
-
-AcquireResult RmaRw::try_acquire_read_for(rma::RmaComm& comm,
-                                          Nanos deadline_ns,
-                                          const RetryPolicy& retry) {
-  AcquireResult result{};
-  {
-    rma::ObsSpan span(comm, obs::EventCode::kAcquireRead, /*a=*/1);
-    const Rank counter = counter_of(comm.rank());
-    const Rank root_tail = tree_.tail_host(comm.rank(), 1);
-    u32 attempts = 0;
-    for (;;) {
-      ++attempts;
-      const i64 current = comm.fao(1, counter, arrive_, rma::AccumOp::kSum);
-      comm.flush(counter);
-      if (current < params_.tr) {
-        result = AcquireResult{AcquireStatus::kAcquired, attempts};
-        break;
-      }
-      // T_R overrun or WRITE mode: cancel the arrival — a timed-out reader
-      // must hold nothing — and retry with backoff instead of parking.
-      comm.iaccumulate(-1, counter, arrive_, rma::AccumOp::kSum);
-      comm.flush(counter);
-      if (current < kWriteFlagThreshold) {
-        // Plain overrun: keep the shared reader-side reset duty (see
-        // acquire_read) so timed readers do not strand a writer-free
-        // counter.
-        const i64 tail = comm.get(root_tail, tree_.tail_offset(1));
-        comm.flush(root_tail);
-        if (tail == kNilRank) reader_reset_counter(comm, counter);
-      }
-      if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
-        result = AcquireResult{AcquireStatus::kTimeout, attempts};
-        break;
-      }
-      const Nanos delay = retry.delay_for(attempts - 1, comm.rng());
-      if (delay > 0) comm.compute(delay);
-    }
-  }
-  if (result.status == AcquireStatus::kAcquired) {
-    rma::obs_event(comm, obs::EventCode::kReadSection, obs::Phase::kBegin);
-  }
-  return result;
+  rma::obs_event(comm, obs::EventCode::kReadSection, obs::Phase::kBegin);
 }
 
 void RmaRw::release_read(rma::RmaComm& comm) {
@@ -253,106 +203,24 @@ void RmaRw::release_read(rma::RmaComm& comm) {
 void RmaRw::acquire_write(rma::RmaComm& comm) {
   {
     rma::ObsSpan span(comm, obs::EventCode::kAcquire);
-    bool passed = false;
-    for (i32 q = tree_.num_levels(); q >= 2; --q) {
-      const DistributedTree::LevelClaim claim = tree_.acquire_level(comm, q);
-      if (claim.acquired) {  // lock passed within our element
-        passed = true;
-        break;
-      }
-    }
-    if (!passed) acquire_root_writer(comm);
+    // Levels N..2 by Listing 4; unless the lock was passed to us within an
+    // element on the way, take the root by Listing 7.
+    if (!tree_.climb(comm, 2)) acquire_root_writer(comm);
   }
   rma::obs_event(comm, obs::EventCode::kCriticalSection, obs::Phase::kBegin);
 }
 
 // Listing 7.
 void RmaRw::acquire_root_writer(rma::RmaComm& comm) {
-  const i32 q = 1;
-  const Rank p = comm.rank();
-  const Rank node = tree_.node_host(p, q);
-  const WinOffset status_off = tree_.status_offset(q);
-
-  comm.iput(kNilRank, node, tree_.next_offset(q));
-  comm.iput(kStatusWait, node, status_off);
-  comm.flush(node);  // prepare to enter the DQ
-  // Enqueue at the end of the root DQ.
-  const Rank tail_rank = tree_.tail_host(p, q);
-  const i64 pred =
-      comm.fao(node, tail_rank, tree_.tail_offset(q), rma::AccumOp::kReplace);
-  comm.flush(tail_rank);
-
-  if (pred != kNilRank) {  // there is a predecessor
-    comm.iput(node, static_cast<Rank>(pred), tree_.next_offset(q));
-    comm.flush(static_cast<Rank>(pred));
-    i64 status = kStatusWait;
-    do {  // wait until the predecessor notifies us
-      status = comm.get(node, status_off);
-      comm.flush(node);
-    } while (status == kStatusWait);
-    if (status == kStatusModeChange) {
-      // The readers have the lock now; take it back.
-      set_counters_to_write(comm);
-      drain_readers(comm);
-      comm.iput(kStatusAcquireStart, node, status_off);
-      comm.flush(node);
-    }
-    // Otherwise: writer-to-writer pass — counters are already in WRITE
-    // mode and `status` carries the root pass count.
-  } else {  // no predecessor: take the lock from the readers
-    set_counters_to_write(comm);
-    drain_readers(comm);
-    comm.iput(kStatusAcquireStart, node, status_off);
-    comm.flush(node);
-  }
-}
-
-bool RmaRw::try_drain_readers(rma::RmaComm& comm, Nanos deadline_ns,
-                              const RetryPolicy& retry) {
-  for (const Rank host : counter_hosts_) {
-    u32 polls = 0;
-    for (;;) {
-      if (++polls > retry.max_attempts || comm.now_ns() >= deadline_ns) {
-        return false;
-      }
-      const i64 arrived = comm.get(host, arrive_);
-      const i64 departed = comm.get(host, depart_);
-      comm.flush(host);
-      if (arrived < kWriteFlagThreshold) {
-        // Same defensive re-flag as the blocking drain.
-        comm.iaccumulate(kWriteFlag, host, arrive_, rma::AccumOp::kSum);
-        comm.flush(host);
-        continue;
-      }
-      if (arrived - kWriteFlag == departed) break;
-    }
-  }
-  return true;
-}
-
-void RmaRw::abandon_root_writer(rma::RmaComm& comm) {
-  const i32 q = 1;
-  const Rank p = comm.rank();
-  const Rank node = tree_.node_host(p, q);
-  // Reopen the counters first: the flags were ours, and readers must not
-  // stay blocked by a writer that is giving up.
-  reset_counters(comm);
-  i64 succ = comm.get(node, tree_.next_offset(q));
-  comm.flush(node);
-  if (succ == kNilRank) {
-    const Rank tail_rank = tree_.tail_host(p, q);
-    const i64 current =
-        comm.cas(kNilRank, node, tail_rank, tree_.tail_offset(q));
-    comm.flush(tail_rank);
-    if (current == node) return;  // queue empty: the readers have the lock
-    do {  // a successor is mid-enqueue: wait for it to become visible
-      succ = comm.get(node, tree_.next_offset(q));
-      comm.flush(node);
-    } while (succ == kNilRank);
-  }
-  comm.iput(kStatusModeChange, static_cast<Rank>(succ),
-            tree_.status_offset(q));
-  comm.flush(static_cast<Rank>(succ));
+  const std::optional<i64> status = tree_.enqueue_and_wait(comm, 1);
+  // Writer-to-writer pass: the counters are already in WRITE mode and
+  // `status` carries the root pass count.
+  if (status.has_value() && *status != kStatusModeChange) return;
+  // No predecessor, or it handed us MODE_CHANGE: the readers have the
+  // lock; take it back.
+  set_counters_to_write(comm);
+  drain_readers(comm);
+  tree_.start_count(comm, 1);
 }
 
 AcquireResult RmaRw::try_acquire_write_for(rma::RmaComm& comm,
@@ -361,45 +229,25 @@ AcquireResult RmaRw::try_acquire_write_for(rma::RmaComm& comm,
   AcquireResult result{};
   {
     rma::ObsSpan span(comm, obs::EventCode::kAcquire, /*a=*/1);
-    u32 attempts = 0;
-    for (;;) {
-      ++attempts;
-      i32 q = tree_.num_levels();
-      bool won = true;
-      for (; q >= 1; --q) {
-        if (!tree_.try_enqueue_level(comm, q)) {
-          won = false;
-          break;
-        }
-      }
-      if (won) {
-        // Sole entry at the root: take the lock from the readers, but bound
-        // the drain by the deadline — a straggling reader must not convert
-        // a timed acquire into an unbounded wait.
-        set_counters_to_write(comm);
-        if (try_drain_readers(comm, deadline_ns, retry)) {
-          result = AcquireResult{AcquireStatus::kAcquired, attempts};
-          break;
-        }
-        abandon_root_writer(comm);
-        for (i32 up = 2; up <= tree_.num_levels(); ++up) {
-          tree_.finish_release_upward(comm, up);
-        }
-      } else {
-        // Busy at level q (never entered it): abandon the levels we won.
-        for (i32 up = q + 1; up <= tree_.num_levels(); ++up) {
-          tree_.finish_release_upward(comm, up);
-        }
-      }
-      if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
-        result = AcquireResult{AcquireStatus::kTimeout, attempts};
-        break;
-      }
-      const Nanos delay = retry.delay_for(attempts - 1, comm.rng());
-      if (delay > 0) comm.compute(delay);
-    }
+    result = retry_until(comm, deadline_ns, retry, [&] {
+      if (!tree_.try_climb(comm, 1)) return false;
+      // Sole entry at the root: take the lock from the readers, but bound
+      // the drain by the deadline — a straggling reader must not convert
+      // a timed acquire into an unbounded wait.
+      set_counters_to_write(comm);
+      if (drain_readers(comm, deadline_ns, retry.max_attempts)) return true;
+      // Undo the claim. Reopen the counters first: the flags were ours,
+      // and readers must not stay blocked by a writer that is giving up.
+      // Then leave the root DQ, handing any successor MODE_CHANGE (the
+      // readers hold the lock, exactly the signal a threshold-exhausted
+      // release sends), and the levels below it.
+      reset_counters(comm);
+      tree_.leave(comm, 1, kStatusModeChange);
+      tree_.unwind(comm, 2);
+      return false;
+    });
   }
-  if (result.status == AcquireStatus::kAcquired) {
+  if (result.ok()) {
     rma::obs_event(comm, obs::EventCode::kCriticalSection,
                    obs::Phase::kBegin);
   }
@@ -408,54 +256,28 @@ AcquireResult RmaRw::try_acquire_write_for(rma::RmaComm& comm,
 
 void RmaRw::release_write(rma::RmaComm& comm) {
   rma::obs_event(comm, obs::EventCode::kCriticalSection, obs::Phase::kEnd);
-  i32 q = tree_.num_levels();
-  while (q >= 2 && !tree_.try_pass_local(comm, q, locality_threshold(q))) {
-    --q;
-  }
-  if (q == 1) release_root_writer(comm);
-  for (i32 up = q + 1; up <= tree_.num_levels(); ++up) {
-    tree_.finish_release_upward(comm, up);
-  }
+  tree_.release(comm, params_.locality, [&] { release_root_writer(comm); });
 }
 
 // Listing 8.
 void RmaRw::release_root_writer(rma::RmaComm& comm) {
-  const i32 q = 1;
-  const Rank p = comm.rank();
-  const Rank node = tree_.node_host(p, q);
-  const WinOffset status_off = tree_.status_offset(q);
-
-  bool counters_reset = false;
   // Count of consecutive root-level lock passes.
-  i64 next_stat = comm.get(node, status_off);
-  comm.flush(node);
-  if (++next_stat >= locality_threshold(1)) {
+  i64 next_stat = tree_.own_status(comm, 1) + 1;
+  if (next_stat >= params_.locality[0]) {
     // T_W reached: pass the lock to the readers.
     reset_counters(comm);
     next_stat = kStatusModeChange;
-    counters_reset = true;
   }
-  i64 succ = comm.get(node, tree_.next_offset(q));
-  comm.flush(node);
-  if (succ == kNilRank) {  // no known successor
-    if (!counters_reset) {
-      reset_counters(comm);  // pass the lock to the readers
-      next_stat = kStatusModeChange;
-    }
-    // Check whether some writer has already entered the DQ.
-    const Rank tail_rank = tree_.tail_host(p, q);
-    const i64 current =
-        comm.cas(kNilRank, node, tail_rank, tree_.tail_offset(q));
-    comm.flush(tail_rank);
-    if (current == node) return;  // queue empty: the readers have the lock
-    do {  // wait until the successor makes itself visible
-      succ = comm.get(node, tree_.next_offset(q));
-      comm.flush(node);
-    } while (succ == kNilRank);
+  const i64 known = tree_.own_successor(comm, 1);
+  if (known == kNilRank && next_stat != kStatusModeChange) {
+    reset_counters(comm);  // no known successor: pass the lock to the readers
+    next_stat = kStatusModeChange;
   }
+  // Leave the DQ unless some writer has already entered it; with the queue
+  // empty the readers have the lock.
+  const i64 succ = tree_.leave_or_await_successor(comm, 1, known);
   // Pass the lock (or the MODE_CHANGE notification) to the successor.
-  comm.iput(next_stat, static_cast<Rank>(succ), status_off);
-  comm.flush(static_cast<Rank>(succ));
+  if (succ != kNilRank) tree_.notify(comm, succ, 1, next_stat);
 }
 
 }  // namespace rmalock::locks

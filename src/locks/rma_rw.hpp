@@ -30,6 +30,7 @@
 // WRITE flag) are documented in DESIGN.md §2.4-2.5.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "locks/dtree.hpp"
@@ -82,17 +83,13 @@ class RmaRw final : public RwLock {
   // Listings 4/7 and 5/8.
   void acquire_write(rma::RmaComm& comm) override;
   void release_write(rma::RmaComm& comm) override;
-  /// Timed read: the Listing 9 FAO-arrival attempt with the back-off loop
-  /// bounded by the deadline (arrivals are always cancelled on back-off, so
-  /// a timed-out reader holds nothing); the reader-side reset duty is kept.
-  AcquireResult try_acquire_read_for(rma::RmaComm& comm, Nanos deadline_ns,
-                                     const RetryPolicy& retry) override;
   /// Timed write: CAS-if-empty climb to the root (never waits behind a
-  /// predecessor), then flag + deadline-bounded reader drain. A drain
-  /// timeout undoes the claim — counters reopen, the root queue is left
-  /// with any successor handed MODE_CHANGE (the readers hold the lock) —
-  /// and the attempt retries with backoff. A successful claim releases via
-  /// the normal release_write.
+  /// predecessor), then flag + deadline-bounded reader drain, under
+  /// retry_until. A drain timeout undoes the claim — counters reopen, the
+  /// root queue is left with any successor handed MODE_CHANGE (the readers
+  /// hold the lock), the levels below are left — and the attempt retries
+  /// with backoff. A successful claim releases via the normal
+  /// release_write.
   AcquireResult try_acquire_write_for(rma::RmaComm& comm, Nanos deadline_ns,
                                       const RetryPolicy& retry) override;
   [[nodiscard]] std::string name() const override { return "RMA-RW"; }
@@ -119,30 +116,18 @@ class RmaRw final : public RwLock {
   // counter, see tests/locks/test_rma_rw.cpp). Only meaningful while the
   // caller holds the write lock at the root.
   void set_counters_to_write(rma::RmaComm& comm);
-  void drain_readers(rma::RmaComm& comm);
+  /// Waits until every counter has drained. Blocking by default; a timed
+  /// writer passes its deadline and a per-counter poll valve and gets false
+  /// if either fires first (the WRITE flags stay set).
+  bool drain_readers(rma::RmaComm& comm, Nanos deadline_ns = kNoDeadline,
+                     u32 max_polls = std::numeric_limits<u32>::max());
   void reset_counters(rma::RmaComm& comm);
 
  private:
-  /// acquire_read's protocol body; split out so acquire_read can bracket it
-  /// with an observability span (the early returns stay structured).
-  void acquire_read_impl(rma::RmaComm& comm);
-
-  [[nodiscard]] i64 locality_threshold(i32 q) const {
-    return params_.locality[static_cast<usize>(q - 1)];
-  }
-
   // Listing 7 (with the §4.1 read-drain, see DESIGN.md §2.4).
   void acquire_root_writer(rma::RmaComm& comm);
   // Listing 8.
   void release_root_writer(rma::RmaComm& comm);
-  // Deadline-bounded drain_readers: false iff the deadline (or poll valve)
-  // fired before every counter drained; the WRITE flags stay set.
-  bool try_drain_readers(rma::RmaComm& comm, Nanos deadline_ns,
-                         const RetryPolicy& retry);
-  // Undo of a timed root claim whose drain timed out: reopen the counters
-  // and leave the root DQ, handing any successor MODE_CHANGE (the readers
-  // hold the lock, exactly the signal a threshold-exhausted release sends).
-  void abandon_root_writer(rma::RmaComm& comm);
   // Reader-side counter reset: clears the departed readers but never the
   // WRITE flag (DESIGN.md §2.5 — fixes a mutual-exclusion race in the
   // literal Listing 6/9 composition).

@@ -589,11 +589,6 @@ void LockSpace::reset_shard_health(i32 shard) {
   s.quarantined.store(false, std::memory_order_release);
 }
 
-i64 LockSpace::shard_epoch(rma::RmaComm& comm, i32 shard) {
-  if (!rehoming()) return 0;
-  return read_ctl(comm, shard) >> 1;
-}
-
 i64 LockSpace::write_payload(rma::RmaComm& comm, u64 key, const i64* data,
                              usize n) {
   RMALOCK_CHECK_MSG(optimistic_capable(), "LockSpaceConfig::payload_words = 0");

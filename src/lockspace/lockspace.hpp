@@ -190,9 +190,6 @@ class LockSpace {
   /// Clears the shard's timeout score and lifts its quarantine (operator
   /// action after a rehome or a repaired network).
   void reset_shard_health(i32 shard);
-  /// Current migration epoch of the shard (reads the control word; 0 when
-  /// re-homing is off).
-  [[nodiscard]] i64 shard_epoch(rma::RmaComm& comm, i32 shard);
   /// Home rank of `shard` at migration epoch `plane` (plane 0 = original).
   [[nodiscard]] Rank home_of_shard_at(i32 shard, i32 plane) const;
 

@@ -40,7 +40,7 @@
 
 namespace rmalock::rma {
 
-/// Outcome of a deadline-aware single-attempt op (try_get/try_cas/try_fao).
+/// Outcome of a deadline-aware single-attempt op (try_get/try_cas).
 /// kTimeout means the runtime decided the op would not complete by the
 /// caller's deadline — the op was NOT applied and `value` is meaningless.
 /// kOk means the op was applied and `value` carries the fetched/previous
@@ -146,13 +146,6 @@ class RmaComm {
                             WinOffset offset, Nanos deadline_ns) {
     (void)deadline_ns;
     return TryResult{TryStatus::kOk, cas(src_data, cmp_data, target, offset)};
-  }
-
-  /// Single-attempt fetch-and-op with a completion deadline.
-  virtual TryResult try_fao(i64 oprd, Rank target, WinOffset offset,
-                            AccumOp op, Nanos deadline_ns) {
-    (void)deadline_ns;
-    return TryResult{TryStatus::kOk, fao(oprd, target, offset, op)};
   }
 
   // --- failure model -------------------------------------------------------

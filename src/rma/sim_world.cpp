@@ -77,11 +77,6 @@ class SimComm final : public RmaComm {
     return world_.execute_try_op(rank_, OpKind::kCas, target, offset, src_data,
                                  cmp_data, AccumOp::kReplace, deadline_ns);
   }
-  TryResult try_fao(i64 oprd, Rank target, WinOffset offset, AccumOp op,
-                    Nanos deadline_ns) override {
-    return world_.execute_try_op(rank_, OpKind::kFao, target, offset, oprd, 0,
-                                 op, deadline_ns);
-  }
   void flush(Rank target) override {
     world_.execute_op(rank_, OpKind::kFlush, target, 0, 0, 0, AccumOp::kSum);
   }

@@ -3,7 +3,10 @@
 // the cap, attempt numbers past the shift guard, multi-millisecond bases
 // whose naive base << attempt would overflow i64, non-positive bases, and
 // the jittered excursion being clamped at the cap. Plus Deadline expiry in
-// the caller's now_ns() timeline and a Backoff::pause escalation smoke.
+// the caller's now_ns() timeline, the retry_until loop's contract (one
+// attempt on an expired deadline, the max_attempts valve on a frozen clock,
+// backoff time exactly the drawn delays) and a Backoff::pause escalation
+// smoke.
 #include "locks/deadline.hpp"
 
 #include <gtest/gtest.h>
@@ -110,6 +113,82 @@ TEST(Deadline, ExpiresInTheCallersTimeline) {
     comm.compute(1);  // at_ns reached: expiry is inclusive
     EXPECT_TRUE(deadline.expired(comm));
   });
+}
+
+TEST(RetryUntil, ExpiredDeadlineStillMakesExactlyOneAttempt) {
+  auto world = test::make_sim(topo::Topology::uniform({}, 1));
+  u32 calls = 0;
+  AcquireResult result{};
+  world->run([&](rma::RmaComm& comm) {
+    comm.compute(1'000);
+    result = retry_until(comm, /*deadline_ns=*/0, RetryPolicy{}, [&] {
+      ++calls;
+      return false;
+    });
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(result.status, AcquireStatus::kTimeout);
+  EXPECT_EQ(result.attempts, 1u);
+}
+
+TEST(RetryUntil, FrozenClockStopsAtExactlyMaxAttempts) {
+  // The planted-livelock shape: without backoff the zero-latency model
+  // barely moves the clock, so the attempts valve ends the loop long
+  // before the deadline.
+  auto world = test::make_sim(topo::Topology::uniform({}, 1));
+  const WinOffset word = world->allocate(1);
+  RetryPolicy retry;
+  retry.backoff = false;
+  retry.max_attempts = 7;
+  u32 calls = 0;
+  AcquireResult result{};
+  Nanos elapsed = -1;
+  world->run([&](rma::RmaComm& comm) {
+    const Nanos start = comm.now_ns();
+    result = retry_until(comm, start + 1'000, retry, [&] {
+      ++calls;
+      comm.accumulate(1, 0, word, rma::AccumOp::kSum);
+      comm.flush(0);
+      return false;
+    });
+    elapsed = comm.now_ns() - start;
+  });
+  EXPECT_EQ(calls, 7u);
+  EXPECT_EQ(world->read_word(0, word), 7);
+  EXPECT_EQ(result.status, AcquireStatus::kTimeout);
+  EXPECT_EQ(result.attempts, 7u);
+  EXPECT_LT(elapsed, 1'000) << "the deadline, not the valve, fired";
+}
+
+TEST(RetryUntil, BackoffAdvancesTheClockByExactlyTheDrawnDelays) {
+  // Attempts that issue no RMA op cost nothing, so the caller's clock moves
+  // by the backoff alone: delay_for(0..k-2) before attempts 2..k, drawn
+  // from the caller's rng in order.
+  auto world = test::make_sim(topo::Topology::uniform({}, 1));
+  const RetryPolicy retry;
+  constexpr u32 kAttempts = 6;
+  u32 calls = 0;
+  AcquireResult result{};
+  Nanos elapsed = -1;
+  Nanos expected = 0;
+  bool rng_in_step = false;
+  world->run([&](rma::RmaComm& comm) {
+    Xoshiro256 replica = comm.rng();
+    for (u32 k = 0; k + 1 < kAttempts; ++k) {
+      expected += retry.delay_for(k, replica);
+    }
+    const Nanos start = comm.now_ns();
+    result = retry_until(comm, start + 1'000'000'000, retry,
+                         [&] { return ++calls == kAttempts; });
+    elapsed = comm.now_ns() - start;
+    rng_in_step = replica() == comm.rng()();
+  });
+  EXPECT_EQ(calls, kAttempts);
+  EXPECT_EQ(result.status, AcquireStatus::kAcquired);
+  EXPECT_EQ(result.attempts, kAttempts);
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(elapsed, expected);
+  EXPECT_TRUE(rng_in_step) << "retry_until drew more or fewer jitter values";
 }
 
 TEST(Backoff, PauseEscalatesAndResetRestartsTheLadder) {

@@ -1,7 +1,7 @@
 // Regression tests for the three RMA-RW protocol findings documented in
-// DESIGN.md §2.5–2.6 and EXPERIMENTS.md E17. Each scenario below deadlocked
-// or violated mutual exclusion with the literal paper listings (or with our
-// earlier, weaker fixes) and must stay fixed.
+// docs/DESIGN.md §2.5–2.6. Each scenario below deadlocked or violated
+// mutual exclusion with the literal paper listings (or with our earlier,
+// weaker fixes) and must stay fixed.
 #include <gtest/gtest.h>
 
 #include "../support/test_support.hpp"
@@ -85,9 +85,10 @@ TEST(RmaRwRegression, ConcurrentResettersDoNotCorruptCounters) {
 
 // Finding 1 (WRITE-flag erasure): under adversarial random schedules the
 // literal Listing 6/9 reader reset can erase a just-arrived writer's flag
-// and admit a reader alongside the writer. The checker demonstrated 3
-// violations in 400 schedules on this configuration (EXPERIMENTS.md E17);
-// the flag-preserving reset must stay clean on the same campaign.
+// and admit a reader alongside the writer. The checker catches it on this
+// configuration (Checker.PlantedRwWriteFlagClobberCaughtByRandom, and the
+// reader-reset race demonstration of bench/mc_verification); the
+// flag-preserving reset must stay clean on the same campaign.
 TEST(RmaRwRegression, FlagPreservingResetPassesAdversarialSchedules) {
   mc::CheckConfig config;
   config.topology = topo::Topology::uniform({2}, 2);

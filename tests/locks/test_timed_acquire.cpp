@@ -1,16 +1,19 @@
 // Deadline/retry acquire-path unit tests: RetryPolicy backoff shape
 // (doubling, cap, jitter bounds, the no-backoff knob), timed acquires on
 // the RMA-MCS, RMA-RW (write side), and lease locks — uncontended grants,
-// timeouts under a long-held lock with nothing held afterwards — and the
-// lease-word epoch-wrap regression (pack() refuses to truncate an epoch
-// past kMaxEpoch into the owner field).
+// timeouts under a long-held lock with nothing held afterwards, a miss at
+// the root after winning the lower levels, RMA-RW's drain-timeout undo —
+// and the lease-word epoch-wrap regression (pack() refuses to truncate an
+// epoch past kMaxEpoch into the owner field).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "../support/test_support.hpp"
 #include "locks/deadline.hpp"
+#include "locks/factory.hpp"
 #include "locks/lease.hpp"
 #include "locks/rma_mcs.hpp"
 #include "locks/rma_rw.hpp"
@@ -164,6 +167,14 @@ TEST(TimedAcquire, RwWriteSideTimesOutUnderContention) {
   EXPECT_EQ(timed.status, AcquireStatus::kTimeout);
 }
 
+TEST(TimedAcquire, RwFactoryExclusiveTimesOutUnderContention) {
+  // make_exclusive adapts RW backends to the exclusive interface; the
+  // adapter must forward the timed path, not fall back to blocking.
+  timeout_under_contention([](rma::World& world) {
+    return make_exclusive(Backend::kRmaRw, world);
+  });
+}
+
 TEST(TimedAcquire, RwWriteSideGrantsUncontended) {
   auto world =
       rma::SimWorld::create(timed_options(topo::Topology::uniform({}, 2), 13));
@@ -176,6 +187,130 @@ TEST(TimedAcquire, RwWriteSideGrantsUncontended) {
     if (granted.ok()) lock.release_write(comm);
   });
   EXPECT_TRUE(granted.ok());
+}
+
+/// A lock's write-side entry points, so one scenario can drive RMA-MCS and
+/// RMA-RW's writer path alike.
+struct WriteSide {
+  std::function<void(rma::RmaComm&)> acquire;
+  std::function<void(rma::RmaComm&)> release;
+  std::function<AcquireResult(rma::RmaComm&, Nanos)> try_acquire;
+};
+
+WriteSide write_ops(RmaMcs& lock) {
+  return {[&lock](rma::RmaComm& c) { lock.acquire(c); },
+          [&lock](rma::RmaComm& c) { lock.release(c); },
+          [&lock](rma::RmaComm& c, Nanos deadline) {
+            return lock.try_acquire_for(c, deadline, RetryPolicy{});
+          }};
+}
+
+WriteSide write_ops(RmaRw& lock) {
+  return {[&lock](rma::RmaComm& c) { lock.acquire_write(c); },
+          [&lock](rma::RmaComm& c) { lock.release_write(c); },
+          [&lock](rma::RmaComm& c, Nanos deadline) {
+            return lock.try_acquire_write_for(c, deadline, RetryPolicy{});
+          }};
+}
+
+/// Every DQ tail of `tree` is nil on every rank.
+void expect_queues_empty(const rma::World& world,
+                         const DistributedTree& tree) {
+  for (Rank r = 0; r < world.nprocs(); ++r) {
+    for (i32 q = 1; q <= tree.num_levels(); ++q) {
+      EXPECT_EQ(world.read_word(r, tree.tail_offset(q)), kNilRank)
+          << "tail of level " << q << " on rank " << r;
+    }
+  }
+}
+
+/// Multi-level machine: rank 0 holds the lock for 2 ms; the first rank of
+/// the machine's second half makes a timed acquire. Its own leaf (and, on
+/// deeper machines, every level below the root) is empty, so it wins those
+/// levels and misses at the root, where rank 0's element sits. It must
+/// time out, leave the levels it won, and still get the lock by a blocking
+/// acquire once rank 0 is gone.
+template <typename Lock>
+void leaf_won_root_missed(const topo::Topology& topology) {
+  auto world = rma::SimWorld::create(timed_options(topology, 17));
+  Lock lock(*world);
+  const WriteSide ops = write_ops(lock);
+  const Rank timed_rank = world->nprocs() / 2;
+  AcquireResult timed{};
+  bool reacquired = false;
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() == 0) {
+      ops.acquire(comm);
+      comm.compute(2'000'000);
+      ops.release(comm);
+    } else if (comm.rank() == timed_rank) {
+      comm.compute(10'000);  // let rank 0 win the root
+      timed = ops.try_acquire(comm, comm.now_ns() + 100'000);
+      if (timed.ok()) ops.release(comm);
+      ops.acquire(comm);
+      reacquired = true;
+      ops.release(comm);
+    }
+  });
+  EXPECT_EQ(timed.status, AcquireStatus::kTimeout) << lock.name();
+  EXPECT_GE(timed.attempts, 1u);
+  EXPECT_TRUE(reacquired) << lock.name();
+  expect_queues_empty(*world, lock.tree());
+}
+
+TEST(TimedAcquire, McsLeafWonRootMissedLeavesNothingQueued) {
+  leaf_won_root_missed<RmaMcs>(topo::Topology::uniform({2}, 2));
+  leaf_won_root_missed<RmaMcs>(topo::Topology::uniform({2, 2}, 2));
+}
+
+TEST(TimedAcquire, RwWriteSideLeafWonRootMissedLeavesNothingQueued) {
+  leaf_won_root_missed<RmaRw>(topo::Topology::uniform({2}, 2));
+  leaf_won_root_missed<RmaRw>(topo::Topology::uniform({2, 2}, 2));
+}
+
+TEST(TimedAcquire, RwDrainTimeoutUndoesTheWriterClaim) {
+  // A reader holds for 2 ms; a timed writer on the other node wins every
+  // queue level, flags the counters and drains — and the drain expires.
+  // The undo must reopen the counters, leave every level and let a second
+  // reader in while the first still holds.
+  auto world = rma::SimWorld::create(
+      timed_options(topo::Topology::uniform({2}, 2), 19));
+  RmaRw lock(*world);
+  AcquireResult timed{};
+  Nanos first_released_at = 0;
+  Nanos second_admitted_at = 0;
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() == 0) {
+      lock.acquire_read(comm);
+      comm.compute(2'000'000);
+      first_released_at = comm.now_ns();
+      lock.release_read(comm);
+    } else if (comm.rank() == 2) {
+      comm.compute(10'000);  // let rank 0 arrive first
+      timed = lock.try_acquire_write_for(comm, comm.now_ns() + 100'000,
+                                         RetryPolicy{});
+      if (timed.ok()) lock.release_write(comm);
+    } else if (comm.rank() == 1) {
+      comm.compute(500'000);  // well past the writer's deadline
+      lock.acquire_read(comm);
+      second_admitted_at = comm.now_ns();
+      lock.release_read(comm);
+    }
+  });
+  EXPECT_EQ(timed.status, AcquireStatus::kTimeout);
+  for (const Rank host : lock.counter_hosts()) {
+    const i64 arrive = world->read_word(host, lock.arrive_offset());
+    const i64 depart = world->read_word(host, lock.depart_offset());
+    EXPECT_LT(arrive, kWriteFlagThreshold) << "WRITE flag left on " << host;
+    EXPECT_EQ(arrive, depart) << "counter " << host;
+  }
+  EXPECT_EQ(world->read_word(lock.tree().tail_host(0, 1),
+                             lock.tree().tail_offset(1)),
+            kNilRank);
+  expect_queues_empty(*world, lock.tree());
+  EXPECT_GT(second_admitted_at, 0);
+  EXPECT_LT(second_admitted_at, first_released_at)
+      << "second reader was not admitted while the first still held";
 }
 
 TEST(LeaseWord, PackRoundTripsAtTheEpochCeiling) {
