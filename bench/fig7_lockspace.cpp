@@ -102,11 +102,6 @@ FigureReport::SeriesPoint measure_thread_point(const BenchEnv& env, i32 p,
   return point_of(series, p, workload::run_workload(*world, space, wc));
 }
 
-bool points_equal(const FigureReport::SeriesPoint& a,
-                  const FigureReport::SeriesPoint& b) {
-  return a.series == b.series && a.p == b.p && a.metrics == b.metrics;
-}
-
 /// One traced probe run: the self-check configuration with the event
 /// tracer armed, returning everything the determinism claim covers —
 /// the Chrome trace bytes, the latency histogram, and the per-shard
@@ -229,23 +224,13 @@ int main(int argc, char** argv) {
   const i32 thread_p = 8;
   report.add_points({measure_thread_point(env, thread_p, "thread-world")});
 
-  // Jobs-determinism self-check: one point measured inline and on a pooled
-  // worker must agree on every metric bit (the claim behind "--jobs N
-  // output is byte-identical to --jobs 1").
+  // Jobs-determinism self-check (virtual-time metrics are jobs-invariant).
   const i32 p0 = env.ps.front();
-  const auto probe = [&] {
+  check_jobs_invariant(report, [&] {
     return measure_sim_point(
         env, p0, "probe", sharded_rw,
         base_workload(env, p0, kServiceKeys, 0.99, /*read_fraction=*/0.95));
-  };
-  const FigureReport::SeriesPoint inline_point = probe();
-  std::vector<FigureReport::SeriesPoint> pooled(2);
-  harness::TaskPool pool(2);
-  pool.run(2, [&](u64 i) { pooled[static_cast<usize>(i)] = probe(); });
-  report.check("virtual-time metrics identical across jobs",
-               points_equal(inline_point, pooled[0]) &&
-                   points_equal(inline_point, pooled[1]),
-               "same config measured inline vs on 2 pool workers");
+  });
 
   // The same claim extended to the observability outputs: the Chrome trace
   // BYTES, the latency-histogram bytes (hex-float moments + buckets), and

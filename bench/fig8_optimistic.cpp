@@ -81,11 +81,6 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
   return point;
 }
 
-bool points_equal(const FigureReport::SeriesPoint& a,
-                  const FigureReport::SeriesPoint& b) {
-  return a.series == b.series && a.p == b.p && a.metrics == b.metrics;
-}
-
 }  // namespace
 }  // namespace rmalock::bench
 
@@ -133,19 +128,11 @@ int main(int argc, char** argv) {
 
   // Jobs-determinism self-check (virtual-time metrics are jobs-invariant).
   const i32 p0 = env.ps.front();
-  const auto probe = [&] {
+  check_jobs_invariant(report, [&] {
     return measure_point(
         env, p0, "probe",
         payload_workload(env, p0, 0.99, 0.95, /*optimistic=*/true));
-  };
-  const FigureReport::SeriesPoint inline_point = probe();
-  std::vector<FigureReport::SeriesPoint> pooled(2);
-  harness::TaskPool pool(2);
-  pool.run(2, [&](u64 i) { pooled[static_cast<usize>(i)] = probe(); });
-  report.check("virtual-time metrics identical across jobs",
-               points_equal(inline_point, pooled[0]) &&
-                   points_equal(inline_point, pooled[1]),
-               "same config measured inline vs on 2 pool workers");
+  });
 
   const i32 pmax = env.ps.back();
   // Headline mix: at 95% reads the write path still dominates both series'

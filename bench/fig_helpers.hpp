@@ -75,18 +75,6 @@ inline BenchResult measure_exclusive_point(
   return harness::run_exclusive_bench(*world, *lock, config);
 }
 
-/// Runs one exclusive-lock configuration and records both metrics.
-inline BenchResult run_exclusive_point(
-    const BenchEnv& env, i32 p, Workload workload, i32 total_ops,
-    const std::function<std::unique_ptr<locks::ExclusiveLock>(rma::World&)>&
-        factory,
-    FigureReport& report, const std::string& series) {
-  const BenchResult result =
-      measure_exclusive_point(env, p, workload, total_ops, factory);
-  report.add_points({point_metrics(series, p, result)});
-  return result;
-}
-
 /// Virtual measurement window for RW benchmarks at process count p: sized
 /// so the aggregate op count stays bounded as P grows (the DES executes
 /// every op), but never below a floor that spans several reader/writer
@@ -99,14 +87,13 @@ inline Nanos rw_duration_ns(const BenchEnv& env, i32 p) {
   return std::max<Nanos>(floor, budget / p);
 }
 
-/// Runs one reader-writer configuration and records both metrics.
-/// Methodology (§5): throughput is the aggregate acquire count over a
-/// fixed virtual time window. Role assignment is per-op by default (an op
-/// is a write with probability F_W — the request-mix reading of the
-/// Facebook workload); parameter studies that need "multiple writers per
-/// machine element" (§5.2.2) pass kStaticRanks.
 /// Measures one reader-writer configuration (no report side effects —
-/// safe to call from a TaskPool worker).
+/// safe to call from a TaskPool worker). Methodology (§5): throughput is
+/// the aggregate acquire count over a fixed virtual time window. Role
+/// assignment is per-op by default (an op is a write with probability
+/// F_W — the request-mix reading of the Facebook workload); parameter
+/// studies that need "multiple writers per machine element" (§5.2.2) pass
+/// kStaticRanks.
 inline BenchResult measure_rw_point(
     const BenchEnv& env, i32 p, Workload workload, double fw,
     const std::function<std::unique_ptr<locks::RwLock>(rma::World&)>& factory,
@@ -121,18 +108,6 @@ inline BenchResult measure_rw_point(
   config.fw = fw;
   config.role_mode = role_mode;
   return harness::run_rw_bench(*world, *lock, config);
-}
-
-inline BenchResult run_rw_point(
-    const BenchEnv& env, i32 p, Workload workload, double fw,
-    const std::function<std::unique_ptr<locks::RwLock>(rma::World&)>& factory,
-    FigureReport& report, const std::string& series,
-    harness::RoleMode role_mode = harness::RoleMode::kPerOp,
-    Nanos duration_override_ns = 0) {
-  const BenchResult result = measure_rw_point(env, p, workload, fw, factory,
-                                              role_mode, duration_override_ns);
-  report.add_points({point_metrics(series, p, result)});
-  return result;
 }
 
 /// One sweep point: a label and a measurement closure. The closure runs on
@@ -158,6 +133,21 @@ inline void run_point_tasks(
     slots[static_cast<usize>(i)] = tasks[static_cast<usize>(i)]();
   });
   report.add_points(slots);
+}
+
+/// Jobs-determinism self-check: `probe` measured inline and on two pool
+/// workers must agree on every metric bit (the claim behind "--jobs N
+/// output is byte-identical to --jobs 1").
+inline void check_jobs_invariant(
+    FigureReport& report,
+    const std::function<FigureReport::SeriesPoint()>& probe) {
+  const FigureReport::SeriesPoint inline_point = probe();
+  std::vector<FigureReport::SeriesPoint> pooled(2);
+  harness::TaskPool pool(2);
+  pool.run(2, [&](u64 i) { pooled[static_cast<usize>(i)] = probe(); });
+  report.check("virtual-time metrics identical across jobs",
+               inline_point == pooled[0] && inline_point == pooled[1],
+               "same config measured inline vs on 2 pool workers");
 }
 
 /// Measures every task (in parallel at env.jobs > 1) and merges metrics

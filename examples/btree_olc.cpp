@@ -8,9 +8,9 @@
 // optimistic_read (snapshot the node, validate its version), and only
 // writers take the per-node write lock. A reader that races a writer
 // simply retries that node (or falls back to the read lock after
-// optimistic_retries attempts) — it can never act on a torn node image,
-// because the version validation rejects any snapshot that overlapped a
-// write session.
+// LockSpace::kOptimisticRetries retries) — it can never act on a torn
+// node image, because the version validation rejects any snapshot that
+// overlapped a write session.
 //
 // The tree here is a complete 4-ary search tree of depth 3 (1 root, 4
 // inner nodes, 16 leaves = 21 nodes, one LockSpace key each). Writers

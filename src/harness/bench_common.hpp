@@ -110,6 +110,8 @@ class FigureReport {
     std::string series;
     i32 p = 0;
     std::vector<std::pair<std::string, double>> metrics;
+
+    bool operator==(const SeriesPoint&) const = default;
   };
 
   /// Order-preserving merge: adds every point exactly as a sequential

@@ -26,16 +26,6 @@ namespace rmalock::harness {
 
 enum class Workload : u8 { kEcsb, kSob, kWcsb, kWarb };
 
-[[nodiscard]] constexpr const char* workload_name(Workload w) {
-  switch (w) {
-    case Workload::kEcsb: return "ECSB";
-    case Workload::kSob: return "SOB";
-    case Workload::kWcsb: return "WCSB";
-    case Workload::kWarb: return "WARB";
-  }
-  return "?";
-}
-
 /// How reader/writer roles are assigned in RW benchmarks.
 enum class RoleMode : u8 {
   /// F_W of the *processes* are writers, spread evenly over ranks (and so

@@ -89,8 +89,8 @@ std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
       return write_side(make_rw(b, world, home));
     case Backend::kLeaseMcs:
     case Backend::kLeaseRw: {
-      // Inner lock first: its words precede the lease word, which is what
-      // LockSpace::slot_words assumes (inner footprint + 1).
+      // Inner lock first, then the lease word: the footprint is the inner
+      // lock's plus one word (docs/DESIGN.md §3).
       auto inner = make_exclusive(
           b == Backend::kLeaseMcs ? Backend::kRmaMcs : Backend::kRmaRw, world,
           home);

@@ -48,7 +48,7 @@ class SlotArena final : public rma::World {
     RMALOCK_CHECK_MSG(words <= limit_,
                       "slot arena overflow: backend needs " << words
                           << " words but the slot reserves up to " << limit_
-                          << " — update LockSpace::slot_words");
+                          << " — an instance outgrew the probed footprint");
   }
 
  private:
@@ -78,28 +78,6 @@ class MeasureWorld final : public rma::World {
 
 }  // namespace
 
-usize LockSpace::slot_words(locks::Backend backend,
-                            const topo::Topology& topo) {
-  const usize n = static_cast<usize>(topo.num_levels());
-  switch (backend) {
-    case locks::Backend::kFompiSpin:
-    case locks::Backend::kFompiRw:
-      return 1;  // one lock word on the home rank
-    case locks::Backend::kDMcs:
-      return 3;  // NEXT + WAIT per process, TAIL on the home rank
-    case locks::Backend::kDTree:
-    case locks::Backend::kRmaMcs:
-      return 3 * n;  // DistributedTree: NEXT/STATUS/TAIL per level
-    case locks::Backend::kRmaRw:
-      return 3 * n + 2;  // tree + ARRIVE/DEPART counter words
-    case locks::Backend::kLeaseMcs:
-      return 3 * n + 1;  // inner RMA-MCS + the lease word
-    case locks::Backend::kLeaseRw:
-      return 3 * n + 3;  // inner RMA-RW + the lease word
-  }
-  return 0;
-}
-
 LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
     : world_(world), config_(config) {
   const topo::Topology& topo = world.topology();
@@ -109,52 +87,23 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
   RMALOCK_CHECK_MSG(num_shards_ >= 1, "LockSpace needs >= 1 shard");
   RMALOCK_CHECK_MSG(config_.slots_per_shard >= 1,
                     "LockSpace needs >= 1 slot per shard");
-  words_per_slot_ = config_.words_per_slot_override > 0
-                        ? config_.words_per_slot_override
-                        : slot_words(config_.backend, topo);
-  RMALOCK_CHECK(words_per_slot_ > 0);
   RMALOCK_CHECK_MSG(config_.rehome_epochs >= 0 && config_.quarantine_after >= 0,
                     "LockSpace health knobs must be non-negative");
   RMALOCK_CHECK_MSG(config_.rehome_epochs == 0 || !rw_capable(),
                     "re-homing supports exclusive backends only (the "
                     "migration fence covers one grant path)");
 
-  // Probe the backend's true footprint now, against a measuring world, so
-  // an under-provisioned reservation fails here — with the full budget in
-  // the message — instead of mid-run when a lazy first touch overruns its
-  // arena range.
+  // Each slot reserves exactly what one instance allocates: the lock
+  // classes own their word layouts (docs/DESIGN.md §3), so measure a probe
+  // instance against a window-less world rather than restate them here. RW
+  // backends are probed through their write side, which allocates the
+  // same words.
   {
     MeasureWorld probe(topo);
-    if (rw_capable()) {
-      (void)locks::make_rw(config_.backend, probe, /*home=*/0);
-    } else {
-      (void)locks::make_exclusive(config_.backend, probe, /*home=*/0);
-    }
-    backend_words_ = probe.window_words();
+    (void)locks::make_exclusive(config_.backend, probe, /*home=*/0);
+    words_per_slot_ = probe.window_words();
   }
-  RMALOCK_CHECK_MSG(
-      backend_words_ <= words_per_slot_,
-      "LockSpace arena under-provisioned: backend "
-          << locks::backend_name(config_.backend) << " needs "
-          << backend_words_ << " words per slot under this topology, but "
-          << "the space reserves only " << words_per_slot_
-          << " words for each of " << num_shards_ << " shards x "
-          << config_.slots_per_shard << " slots ("
-          << words_per_slot_ * static_cast<usize>(total_slots())
-          << " words total) — "
-          << (config_.words_per_slot_override > 0
-                  ? "raise words_per_slot_override"
-                  : "update LockSpace::slot_words"));
-  RMALOCK_CHECK_MSG(
-      config_.words_per_slot_override > 0 ||
-          backend_words_ == words_per_slot_,
-      "slot_words over-reports backend "
-          << locks::backend_name(config_.backend) << ": table says "
-          << words_per_slot_ << " words but an instance allocates "
-          << backend_words_ << " — the grid would waste "
-          << (words_per_slot_ - backend_words_) *
-                 static_cast<usize>(total_slots())
-          << " words across " << total_slots() << " slots");
+  RMALOCK_CHECK(words_per_slot_ > 0);
 
   // One contiguous reservation for the whole grid — times planes() when
   // re-homing pre-reserves migration successors. Slot (plane p, gs)'s range
@@ -200,21 +149,12 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
   }
 
   // Versioned-payload arena: reserved separately from the lock arena so
-  // backend footprints (and the probe CHECKs above) are unaffected. Fresh
-  // window words are zero, so every version starts even-quiescent.
+  // backend footprints are unaffected. Fresh window words are zero, so
+  // every version starts even-quiescent.
   if (config_.payload_words > 0) {
     payload_stride_ = 1 + static_cast<usize>(config_.payload_words);
     payload_base_ = world.allocate(payload_stride_ *
                                    static_cast<usize>(total_slots()));
-  }
-
-  if (config_.eager) {
-    // Eager builds the original placement; migration planes stay lazy —
-    // they only materialize if a rehome ever reaches them.
-    for (u32 gs = 0; gs < total_slots(); ++gs) {
-      instantiate_slot(static_cast<i32>(gs) / config_.slots_per_shard, gs,
-                       /*plane=*/0);
-    }
   }
 }
 
@@ -222,7 +162,7 @@ LockRef LockSpace::resolve(u64 key) const {
   // Two independent SplitMix64 draws decorrelate the shard choice from the
   // slot choice (a single draw's low bits would make slot collide whenever
   // shard does).
-  u64 state = key ^ config_.salt;
+  u64 state = key;
   const u64 h_shard = splitmix64(state);
   const u64 h_slot = splitmix64(state);
   LockRef ref;
@@ -275,7 +215,10 @@ void LockSpace::instantiate_slot(i32 shard_index, u32 global_slot,
   const Rank home = home_of_shard_at(shard_index, plane);
   SlotArena arena(world_, slot.arena_base, words_per_slot_);
   if (rw_capable()) {
-    slot.rw = locks::make_rw(config_.backend, arena, home);
+    std::unique_ptr<locks::RwLock> rw =
+        locks::make_rw(config_.backend, arena, home);
+    slot.rw = rw.get();
+    slot.ex = locks::write_side(std::move(rw));
   } else {
     slot.ex = locks::make_exclusive(config_.backend, arena, home);
     slot.lease = dynamic_cast<locks::LeaseExclusive*>(slot.ex.get());
@@ -285,7 +228,7 @@ void LockSpace::instantiate_slot(i32 shard_index, u32 global_slot,
   // the topology), or the arena ranges would drift.
   RMALOCK_CHECK_MSG(
       arena.window_words() ==
-          static_cast<usize>(slot.arena_base) + backend_words_,
+          static_cast<usize>(slot.arena_base) + words_per_slot_,
       "backend " << locks::backend_name(config_.backend)
                  << " allocated a different footprint than the probe "
                     "instance measured at construction");
@@ -304,34 +247,10 @@ LockSpace::Slot& LockSpace::ensure_slot(const LockRef& ref, i32 plane) {
   return slot;
 }
 
-template <typename Fn>
-void LockSpace::with_shard_stats(rma::RmaComm& comm, i32 shard_index,
-                                 Fn&& fn) {
-  if (!config_.track_op_stats) {
-    fn();
-    return;
-  }
-  rma::OpStats delta = comm.stats();  // snapshot "before" (subtracted below)
-  fn();
-  rma::OpStats after = comm.stats();
-  after -= delta;
-  Shard& shard = *shards_[static_cast<usize>(shard_index)];
-  const std::lock_guard<std::mutex> guard(shard.stats_mutex);
-  shard.op_stats += after;
-}
-
 i64 LockSpace::read_ctl(rma::RmaComm& comm, i32 shard) const {
   const i64 ctl = comm.get(0, ctl_offset(shard));
   comm.flush(0);
   return ctl;
-}
-
-void LockSpace::backend_release(Slot& slot, rma::RmaComm& comm) {
-  if (slot.rw != nullptr) {
-    slot.rw->release_write(comm);
-  } else {
-    slot.ex->release(comm);
-  }
 }
 
 void LockSpace::record_timeout(i32 shard_index) {
@@ -349,10 +268,10 @@ void LockSpace::record_success(i32 shard_index) {
       0, std::memory_order_relaxed);
 }
 
-LockSpace::Slot& LockSpace::rehomed_blocking_acquire(rma::RmaComm& comm,
-                                                     const LockRef& ref) {
+void LockSpace::acquire_slot(rma::RmaComm& comm, const LockRef& ref,
+                             bool shared) {
   for (;;) {
-    const i64 ctl = read_ctl(comm, ref.shard);
+    const i64 ctl = rehoming() ? read_ctl(comm, ref.shard) : 0;
     if ((ctl & 1) != 0) {
       // Migration in flight: wait it out. The drain is deadline-bounded,
       // so this resolves in bounded virtual time.
@@ -361,44 +280,34 @@ LockSpace::Slot& LockSpace::rehomed_blocking_acquire(rma::RmaComm& comm,
     }
     const i32 plane = static_cast<i32>(ctl >> 1);
     Slot& slot = ensure_slot(ref, plane);
-    with_shard_stats(comm, ref.shard, [&] { slot.ex->acquire(comm); });
-    if (!config_.rehome_skip_fence) {
+    if (shared && slot.rw != nullptr) {
+      slot.rw->acquire_read(comm);
+    } else {
+      slot.ex->acquire(comm);  // exclusive backend: readers serialize
+    }
+    if (rehoming()) {
       // The migration fence: between our directory read and our grant the
       // shard may have been re-homed — in which case the plane we hold was
       // drained and abandoned, and the real lock now lives elsewhere.
       // Re-validate the control word before claiming the CS; on any change
-      // release the stale plane and chase the new one.
-      if (read_ctl(comm, ref.shard) != ctl) {
-        backend_release(slot, comm);
+      // release the stale plane and chase the new one. Re-homing is
+      // exclusive-only (constructor CHECK), so the grant is the write side.
+      if (!config_.rehome_skip_fence && read_ctl(comm, ref.shard) != ctl) {
+        slot.ex->release(comm);
         continue;
       }
+      holds_[static_cast<usize>(comm.rank())].push_back(
+          {ref.global_slot, plane});
     }
-    holds_[static_cast<usize>(comm.rank())].push_back(
-        {ref.global_slot, plane});
-    return slot;
+    Shard& shard = *shards_[static_cast<usize>(ref.shard)];
+    (shared ? shard.read_acquires : shard.write_acquires)
+        .fetch_add(1, std::memory_order_relaxed);
+    return;
   }
 }
 
-void LockSpace::acquire(rma::RmaComm& comm, u64 key) {
-  const LockRef ref = resolve(key);
-  if (rehoming()) {
-    (void)rehomed_blocking_acquire(comm, ref);
-  } else {
-    Slot& slot = ensure_slot(ref, /*plane=*/0);
-    with_shard_stats(comm, ref.shard, [&] {
-      if (slot.rw != nullptr) {
-        slot.rw->acquire_write(comm);
-      } else {
-        slot.ex->acquire(comm);
-      }
-    });
-  }
-  shards_[static_cast<usize>(ref.shard)]->write_acquires.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-void LockSpace::release(rma::RmaComm& comm, u64 key) {
-  const LockRef ref = resolve(key);
+void LockSpace::release_slot(rma::RmaComm& comm, const LockRef& ref,
+                             bool shared) {
   i32 plane = 0;
   if (rehoming()) {
     // Pop the grant's plane: the most recent live hold of this physical
@@ -415,49 +324,27 @@ void LockSpace::release(rma::RmaComm& comm, u64 key) {
     stack.erase(std::next(it).base());
   }
   Slot& slot = ensure_slot(ref, plane);
-  with_shard_stats(comm, ref.shard, [&] {
-    if (slot.rw != nullptr) {
-      slot.rw->release_write(comm);
-    } else {
-      slot.ex->release(comm);
-    }
-  });
+  if (shared && slot.rw != nullptr) {
+    slot.rw->release_read(comm);
+  } else {
+    slot.ex->release(comm);
+  }
+}
+
+void LockSpace::acquire(rma::RmaComm& comm, u64 key) {
+  acquire_slot(comm, resolve(key), /*shared=*/false);
+}
+
+void LockSpace::release(rma::RmaComm& comm, u64 key) {
+  release_slot(comm, resolve(key), /*shared=*/false);
 }
 
 void LockSpace::acquire_read(rma::RmaComm& comm, u64 key) {
-  const LockRef ref = resolve(key);
-  if (rehoming()) {
-    // Re-homing is exclusive-only (constructor CHECK), so the read path is
-    // the serialized exclusive path with the same fence.
-    (void)rehomed_blocking_acquire(comm, ref);
-  } else {
-    Slot& slot = ensure_slot(ref, /*plane=*/0);
-    with_shard_stats(comm, ref.shard, [&] {
-      if (slot.rw != nullptr) {
-        slot.rw->acquire_read(comm);
-      } else {
-        slot.ex->acquire(comm);  // exclusive backend: readers serialize
-      }
-    });
-  }
-  shards_[static_cast<usize>(ref.shard)]->read_acquires.fetch_add(
-      1, std::memory_order_relaxed);
+  acquire_slot(comm, resolve(key), /*shared=*/true);
 }
 
 void LockSpace::release_read(rma::RmaComm& comm, u64 key) {
-  if (rehoming()) {
-    release(comm, key);  // symmetric with the serialized read acquire
-    return;
-  }
-  const LockRef ref = resolve(key);
-  Slot& slot = ensure_slot(ref, /*plane=*/0);
-  with_shard_stats(comm, ref.shard, [&] {
-    if (slot.rw != nullptr) {
-      slot.rw->release_read(comm);
-    } else {
-      slot.ex->release(comm);
-    }
-  });
+  release_slot(comm, resolve(key), /*shared=*/true);
 }
 
 locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
@@ -493,12 +380,8 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
       plane = static_cast<i32>(ctl >> 1);
     }
     Slot& slot = ensure_slot(ref, plane);
-    locks::AcquireResult result{};
-    with_shard_stats(comm, ref.shard, [&] {
-      result = slot.rw != nullptr
-                   ? slot.rw->try_acquire_write_for(comm, deadline_ns, retry)
-                   : slot.ex->try_acquire_for(comm, deadline_ns, retry);
-    });
+    locks::AcquireResult result =
+        slot.ex->try_acquire_for(comm, deadline_ns, retry);
     attempts += result.attempts;
     if (result.status != locks::AcquireStatus::kAcquired) {
       record_timeout(ref.shard);
@@ -506,9 +389,9 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
       return result;
     }
     if (rehoming() && !config_.rehome_skip_fence) {
-      // The migration fence (see rehomed_blocking_acquire).
+      // The migration fence (see acquire_slot).
       if (read_ctl(comm, ref.shard) != ctl) {
-        backend_release(slot, comm);
+        slot.ex->release(comm);
         if (attempts >= retry.max_attempts ||
             comm.now_ns() >= deadline_ns) {
           record_timeout(ref.shard);
@@ -553,10 +436,8 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
                    static_cast<u32>(s);
     Slot& slot = slots_[slot_index(plane, gs)];
     if (!slot.ready.load(std::memory_order_acquire)) continue;
-    locks::AcquireResult r{};
-    if (slot.ex != nullptr) {
-      r = slot.ex->try_acquire_for(comm, deadline, drain_retry);
-    }
+    const locks::AcquireResult r =
+        slot.ex->try_acquire_for(comm, deadline, drain_retry);
     if (r.status != locks::AcquireStatus::kAcquired) {
       // Drain timed out (e.g. a wedged holder): abort the migration and
       // reopen the old plane — claimants resume where they were.
@@ -564,7 +445,7 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
       comm.flush(0);
       return false;
     }
-    backend_release(slot, comm);
+    slot.ex->release(comm);
   }
   // Phase 3: commit the bumped epoch; the successor plane (and home) is
   // instantiated on first touch.
@@ -576,11 +457,6 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
 bool LockSpace::shard_quarantined(i32 shard) const {
   return shards_[static_cast<usize>(shard)]->quarantined.load(
       std::memory_order_acquire);
-}
-
-u64 LockSpace::shard_timeouts(i32 shard) const {
-  return shards_[static_cast<usize>(shard)]->timeouts.load(
-      std::memory_order_relaxed);
 }
 
 void LockSpace::reset_shard_health(i32 shard) {
@@ -684,8 +560,7 @@ LockSpace::OptimisticResult LockSpace::optimistic_read(rma::RmaComm& comm,
   const LockRef ref = resolve(key);
   const WinOffset voff = version_offset(ref.global_slot);
   OptimisticResult result;
-  const u32 attempts =
-      static_cast<u32>(std::max<i32>(0, config_.optimistic_retries)) + 1;
+  const u32 attempts = kOptimisticRetries + 1;
   for (u32 attempt = 0; attempt < attempts; ++attempt) {
     result.retries = attempt;
     const i64 v1 = comm.get(ref.home, voff);
@@ -739,39 +614,27 @@ u64 LockSpace::total_acquires() const {
   return sum;
 }
 
-rma::OpStats LockSpace::shard_op_stats(i32 shard) const {
-  const Shard& s = *shards_[static_cast<usize>(shard)];
-  const std::lock_guard<std::mutex> guard(s.stats_mutex);
-  return s.op_stats;
-}
-
-LockSpace::ShardMetrics LockSpace::shard_metrics(i32 shard) const {
-  const Shard& s = *shards_[static_cast<usize>(shard)];
-  ShardMetrics m;
-  m.shard = shard;
-  m.home = s.home;
-  m.write_acquires = s.write_acquires.load(std::memory_order_relaxed);
-  m.read_acquires = s.read_acquires.load(std::memory_order_relaxed);
-  m.timeouts = s.timeouts.load(std::memory_order_relaxed);
-  m.quarantined = s.quarantined.load(std::memory_order_relaxed);
-  const u32 first = static_cast<u32>(shard) *
-                    static_cast<u32>(config_.slots_per_shard);
-  for (i32 plane = 0; plane < planes(); ++plane) {
-    for (i32 slot = 0; slot < config_.slots_per_shard; ++slot) {
-      if (slots_[slot_index(plane, first + static_cast<u32>(slot))]
-              .ready.load(std::memory_order_acquire)) {
-        ++m.instantiated_slots;
+std::vector<LockSpace::ShardMetrics> LockSpace::metrics() const {
+  std::vector<ShardMetrics> out(static_cast<usize>(num_shards_));
+  for (i32 shard = 0; shard < num_shards_; ++shard) {
+    const Shard& s = *shards_[static_cast<usize>(shard)];
+    ShardMetrics& m = out[static_cast<usize>(shard)];
+    m.shard = shard;
+    m.home = s.home;
+    m.write_acquires = s.write_acquires.load(std::memory_order_relaxed);
+    m.read_acquires = s.read_acquires.load(std::memory_order_relaxed);
+    m.timeouts = s.timeouts.load(std::memory_order_relaxed);
+    m.quarantined = s.quarantined.load(std::memory_order_relaxed);
+    const u32 first = static_cast<u32>(shard) *
+                      static_cast<u32>(config_.slots_per_shard);
+    for (i32 plane = 0; plane < planes(); ++plane) {
+      for (i32 slot = 0; slot < config_.slots_per_shard; ++slot) {
+        if (slots_[slot_index(plane, first + static_cast<u32>(slot))]
+                .ready.load(std::memory_order_acquire)) {
+          ++m.instantiated_slots;
+        }
       }
     }
-  }
-  return m;
-}
-
-std::vector<LockSpace::ShardMetrics> LockSpace::metrics() const {
-  std::vector<ShardMetrics> out;
-  out.reserve(static_cast<usize>(num_shards_));
-  for (i32 shard = 0; shard < num_shards_; ++shard) {
-    out.push_back(shard_metrics(shard));
   }
   return out;
 }
@@ -781,8 +644,7 @@ std::string LockSpace::describe() const {
   out << "LockSpace<" << locks::backend_name(config_.backend) << "> "
       << num_shards_ << " shards x " << config_.slots_per_shard
       << " slots (" << total_slots() << " locks, " << words_per_slot_
-      << " words/slot, "
-      << (config_.eager ? "eager" : "lazy") << ")";
+      << " words/slot, lazy)";
   if (optimistic_capable()) {
     out << " + versioned payload (" << config_.payload_words
         << " words/slot)";

@@ -32,9 +32,8 @@
 //   zero virtual time and adds no scheduling decisions, so replay and
 //   exhaustive enumeration are unaffected; in ThreadWorld first-touch is
 //   serialized per shard and published with release/acquire ordering.
-// * Per-shard accounting: read/write acquire counters always; full
-//   rma::OpStats deltas per shard when track_op_stats is set (snapshot
-//   diff of the caller's per-process stats around each hold).
+// * Per-shard counters: read/write acquires and timed-acquire timeouts,
+//   exported per shard by metrics().
 #pragma once
 
 #include <atomic>
@@ -61,13 +60,6 @@ struct LockSpaceConfig {
   /// shards * slots_per_shard independent locks.
   i32 slots_per_shard = 16;
   locks::Backend backend = locks::Backend::kRmaRw;
-  /// Construct every slot at build time instead of on first touch.
-  bool eager = false;
-  /// Aggregate rma::OpStats deltas per shard (adds two stats snapshots per
-  /// hold — measurement mode, off on hot paths).
-  bool track_op_stats = false;
-  /// Directory hash salt: lets tests steer keys onto chosen shards/slots.
-  u64 salt = 0;
   /// Payload words per slot published through the versioned read path
   /// (optimistic_read / write_payload / locked_read). 0 = no versioned
   /// data area; the optimistic API is then unavailable. The payload arena
@@ -75,18 +67,11 @@ struct LockSpaceConfig {
   /// home rank) is reserved separately from the lock arena, so backend
   /// footprints are unaffected.
   i32 payload_words = 0;
-  /// optimistic_read attempts before falling back to the read lock.
-  i32 optimistic_retries = 3;
   /// PLANTED-BUG knob (MC verification only): skip the version
   /// re-validation read in optimistic_read, certifying torn observations.
   /// The optimistic MC campaigns must catch this — and a torn-read-blind
   /// run must NOT (the false negative the fault model exists to prevent).
   bool skip_read_validation = false;
-  /// Testing knob: reserve this many words per slot instead of the
-  /// slot_words() table value. The constructor still probes the backend's
-  /// true footprint and aborts if the reservation is too small — which is
-  /// exactly what the under-provisioning regression test provokes.
-  usize words_per_slot_override = 0;
   /// Graceful degradation: consecutive try_acquire_for timeouts on a shard
   /// before the shard is quarantined (0 = never). A quarantined shard
   /// fails fast with AcquireStatus::kDegraded instead of burning the
@@ -123,8 +108,8 @@ struct LockRef {
 
 class LockSpace {
  public:
-  /// Collective: reserves the window arena for every slot (and, when
-  /// config.eager, constructs every backend instance). Must run outside
+  /// Collective: reserves the window arena for every slot; backend
+  /// instances are constructed on first touch. Must run outside
   /// World::run(), like any lock constructor. The world must outlive the
   /// LockSpace.
   LockSpace(rma::World& world, LockSpaceConfig config);
@@ -185,8 +170,6 @@ class LockSpace {
   bool rehome_shard(rma::RmaComm& comm, i32 shard, Nanos drain_budget_ns);
 
   [[nodiscard]] bool shard_quarantined(i32 shard) const;
-  /// Cumulative try_acquire_for timeouts charged to the shard.
-  [[nodiscard]] u64 shard_timeouts(i32 shard) const;
   /// Clears the shard's timeout score and lifts its quarantine (operator
   /// action after a rehome or a repaired network).
   void reset_shard_health(i32 shard);
@@ -266,9 +249,10 @@ class LockSpace {
 
   /// Lock-free versioned read: snapshot version, get_vec the payload,
   /// validate the version unchanged-and-even; retry up to
-  /// config.optimistic_retries times, then fall back to locked_read.
+  /// kOptimisticRetries times, then fall back to locked_read.
   OptimisticResult optimistic_read(rma::RmaComm& comm, u64 key, i64* out,
                                    usize n);
+  static constexpr u32 kOptimisticRetries = 3;
 
   /// Administrative recovery sweep: walks every instantiated slot whose
   /// backend is a LeaseExclusive and reclaims leases held by
@@ -297,10 +281,6 @@ class LockSpace {
   }
   [[nodiscard]] std::string describe() const;
 
-  /// Window words reserved per slot for this backend under this topology.
-  [[nodiscard]] static usize slot_words(locks::Backend backend,
-                                        const topo::Topology& topo);
-
   // --- per-shard accounting ------------------------------------------------
 
   [[nodiscard]] u64 shard_write_acquires(i32 shard) const {
@@ -312,9 +292,6 @@ class LockSpace {
         std::memory_order_relaxed);
   }
   [[nodiscard]] u64 total_acquires() const;
-  /// Summed OpStats of every hold routed through `shard` (zeroed unless
-  /// config.track_op_stats).
-  [[nodiscard]] rma::OpStats shard_op_stats(i32 shard) const;
 
   /// One shard's gauges, snapshot at call time — the unit of the bench
   /// metrics export (rmalock-bench-v2 "metrics" object). Counters are
@@ -330,7 +307,6 @@ class LockSpace {
     /// (lazy instantiation makes this a working-set gauge).
     u64 instantiated_slots = 0;
   };
-  [[nodiscard]] ShardMetrics shard_metrics(i32 shard) const;
   /// Every shard's gauges in shard-index order (deterministic export).
   [[nodiscard]] std::vector<ShardMetrics> metrics() const;
 
@@ -346,18 +322,19 @@ class LockSpace {
     std::atomic<u64> timeouts{0};
     std::atomic<i32> consec_timeouts{0};
     std::atomic<bool> quarantined{false};
-    mutable std::mutex stats_mutex;  // guards op_stats when tracking
-    rma::OpStats op_stats;
   };
 
   struct Slot {
     std::atomic<bool> ready{false};
     WinOffset arena_base = 0;
-    // Exactly one of the two is set, per backend kind.
-    std::unique_ptr<locks::RwLock> rw;
+    // The backend instance, driven through its write side (RW backends via
+    // locks::write_side).
     std::unique_ptr<locks::ExclusiveLock> ex;
-    // Non-owning view of `ex` when the backend is lease-capable (set before
-    // `ready` is published), so recover_orphans can sweep without casts.
+    // Non-owning views, set before `ready` is published: the shared side of
+    // an RW backend (null on exclusive backends, whose readers serialize),
+    // and `ex` when the backend is lease-capable, so recover_orphans can
+    // sweep without casts.
+    locks::RwLock* rw = nullptr;
     locks::LeaseExclusive* lease = nullptr;
   };
 
@@ -382,16 +359,15 @@ class LockSpace {
     return rehome_ctl_base_ + static_cast<WinOffset>(shard);
   }
   [[nodiscard]] i64 read_ctl(rma::RmaComm& comm, i32 shard) const;
-  /// Blocking acquire with plane resolution + the migration fence.
-  Slot& rehomed_blocking_acquire(rma::RmaComm& comm, const LockRef& ref);
-  void backend_release(Slot& slot, rma::RmaComm& comm);
+  /// The one blocking grant path of acquire and acquire_read: `shared`
+  /// takes an RW backend's read side, otherwise the write side is taken.
+  /// With re-homing on, it also resolves the shard's plane, waits out a
+  /// migration in flight and applies the migration fence.
+  void acquire_slot(rma::RmaComm& comm, const LockRef& ref, bool shared);
+  /// Releases what acquire_slot granted, on the plane it landed on.
+  void release_slot(rma::RmaComm& comm, const LockRef& ref, bool shared);
   void record_timeout(i32 shard);
   void record_success(i32 shard);
-
-  /// Runs `hold` (acquire-CS-release is the caller's business; this wraps
-  /// one protocol call) and attributes its OpStats delta to the shard.
-  template <typename Fn>
-  void with_shard_stats(rma::RmaComm& comm, i32 shard, Fn&& fn);
 
   /// Window offset of slot `global_slot`'s version word (payload words
   /// follow it) on the slot's home rank.
@@ -404,8 +380,7 @@ class LockSpace {
   rma::World& world_;
   LockSpaceConfig config_;
   i32 num_shards_ = 0;
-  usize words_per_slot_ = 0;   // reserved per slot (table or override)
-  usize backend_words_ = 0;    // probed true footprint of one instance
+  usize words_per_slot_ = 0;   // probed footprint of one instance
   WinOffset payload_base_ = 0; // versioned-payload arena (when payload_words)
   usize payload_stride_ = 0;   // 1 version word + payload_words per slot
   WinOffset rehome_ctl_base_ = 0;  // per-shard control words (when rehoming)

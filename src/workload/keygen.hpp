@@ -30,15 +30,6 @@ namespace rmalock::workload {
 
 enum class KeyDist : u8 { kUniform, kZipfian, kHotspot };
 
-[[nodiscard]] constexpr const char* key_dist_name(KeyDist d) {
-  switch (d) {
-    case KeyDist::kUniform: return "uniform";
-    case KeyDist::kZipfian: return "zipfian";
-    case KeyDist::kHotspot: return "hotspot";
-  }
-  return "?";
-}
-
 struct KeyGenConfig {
   u64 num_keys = 1 << 17;
   KeyDist dist = KeyDist::kZipfian;

@@ -1,7 +1,8 @@
 // LockSpace unit tests: the O(1) owner-computes directory, topology-aware
 // shard homing, the exact per-slot window footprint of every backend, lazy
-// vs eager instantiation (including mid-run first touch on both worlds),
-// and per-shard accounting.
+// instantiation (including mid-run first touch on both worlds), per-shard
+// accounting, the versioned payload, orphan recovery, and re-homing on the
+// blocking grant path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,22 +59,6 @@ TEST(LockSpaceDirectory, KeysSpreadOverAllShardsAndSlots) {
   EXPECT_EQ(slots_seen.size(), space.total_slots());
 }
 
-TEST(LockSpaceDirectory, SaltChangesTheMapping) {
-  auto world = rma::SimWorld::create(sim_options(topo::Topology::uniform({4}, 4)));
-  lockspace::LockSpaceConfig a;
-  lockspace::LockSpaceConfig b;
-  b.salt = 0x1234;
-  lockspace::LockSpace space_a(*world, a);
-  lockspace::LockSpace space_b(*world, b);
-  i32 moved = 0;
-  for (u64 key = 0; key < 256; ++key) {
-    if (space_a.resolve(key).global_slot != space_b.resolve(key).global_slot) {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0);
-}
-
 TEST(LockSpaceDirectory, HomesSpreadLeafMajorAcrossNodes) {
   // 4 nodes x 4 procs: shards 0..3 land on distinct leaves (their rep
   // ranks), shard 4 wraps to leaf 0's second rank.
@@ -89,9 +74,32 @@ TEST(LockSpaceDirectory, HomesSpreadLeafMajorAcrossNodes) {
   EXPECT_EQ(space.home_of_shard(5), 5);
 }
 
+/// Window words one instance of `backend` allocates on an n-level machine:
+/// the word layouts of docs/DESIGN.md §3, restated as reference values.
+usize slot_words(locks::Backend backend, usize n) {
+  switch (backend) {
+    case locks::Backend::kFompiSpin:
+    case locks::Backend::kFompiRw:
+      return 1;  // one lock word on the home rank
+    case locks::Backend::kDMcs:
+      return 3;  // NEXT + WAIT per process, TAIL on the home rank
+    case locks::Backend::kDTree:
+    case locks::Backend::kRmaMcs:
+      return 3 * n;  // DistributedTree: NEXT/STATUS/TAIL per level
+    case locks::Backend::kRmaRw:
+      return 3 * n + 2;  // tree + ARRIVE/DEPART counter words
+    case locks::Backend::kLeaseMcs:
+      return 3 * n + 1;  // inner RMA-MCS + the lease word
+    case locks::Backend::kLeaseRw:
+      return 3 * n + 3;  // inner RMA-RW + the lease word
+  }
+  return 0;
+}
+
 TEST(LockSpaceFootprint, EveryBackendMatchesItsSlotWordsTable) {
-  // Eager construction runs the exact-footprint CHECK in every slot; the
-  // world-level arithmetic below pins the reservation itself.
+  // The world-level arithmetic pins the probed reservation against the
+  // reference table; touching all six slots runs the per-instance
+  // footprint CHECK in each.
   const topo::Topology topology = topo::Topology::uniform({2, 2}, 2);  // N=3
   for (const locks::Backend backend : locks::all_backends()) {
     auto world = rma::SimWorld::create(sim_options(topology));
@@ -100,12 +108,18 @@ TEST(LockSpaceFootprint, EveryBackendMatchesItsSlotWordsTable) {
     config.shards = 2;
     config.slots_per_shard = 3;
     config.backend = backend;
-    config.eager = true;
     lockspace::LockSpace space(*world, config);
-    EXPECT_EQ(world->window_words() - before,
-              6 * lockspace::LockSpace::slot_words(backend, topology))
+    EXPECT_EQ(world->window_words() - before, 6 * slot_words(backend, 3))
         << locks::backend_name(backend);
-    EXPECT_EQ(space.instantiated_slots(), 6u);
+    const std::vector<u64> keys = space.distinct_slot_keys(6);
+    world->run([&](rma::RmaComm& comm) {
+      if (comm.rank() != 0) return;
+      for (const u64 key : keys) {
+        space.acquire(comm, key);
+        space.release(comm, key);
+      }
+    });
+    EXPECT_EQ(space.instantiated_slots(), 6u) << locks::backend_name(backend);
   }
 }
 
@@ -184,25 +198,6 @@ TEST(LockSpaceAccounting, PerShardCountersSplitReadsAndWrites) {
             static_cast<u64>(world->nprocs()) + 1u);
 }
 
-TEST(LockSpaceAccounting, OpStatsAttributeToTheTouchedShardOnly) {
-  auto world = rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
-  lockspace::LockSpaceConfig config;
-  config.slots_per_shard = 4;
-  config.track_op_stats = true;
-  lockspace::LockSpace space(*world, config);
-  const u64 key = 3;
-  const i32 shard = space.resolve(key).shard;
-  world->run([&](rma::RmaComm& comm) {
-    space.acquire(comm, key);
-    space.release(comm, key);
-  });
-  EXPECT_GT(space.shard_op_stats(shard).total_ops(), 0u);
-  for (i32 s = 0; s < space.shards(); ++s) {
-    if (s == shard) continue;
-    EXPECT_EQ(space.shard_op_stats(s).total_ops(), 0u) << "shard " << s;
-  }
-}
-
 TEST(LockSpaceModes, ExclusiveBackendServesSharedModeBySerializing) {
   auto world = rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
   lockspace::LockSpaceConfig config;
@@ -239,21 +234,6 @@ TEST(LockSpaceModes, EveryBackendTakesAndReleasesKeys) {
               static_cast<u64>(world->nprocs()) * 3u)
         << locks::backend_name(backend);
   }
-}
-
-TEST(LockSpaceDeathTest, UnderProvisionedArenaFailsAtConstruction) {
-  // Regression for the former mid-run abort: a reservation smaller than
-  // the backend's true footprint used to pass construction and then trip
-  // the slot-arena overflow CHECK on the first lazy touch, deep inside a
-  // run. The construction-time probe must reject it up front, naming the
-  // exact budget.
-  auto world =
-      rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
-  lockspace::LockSpaceConfig config;
-  config.backend = locks::Backend::kRmaMcs;
-  config.words_per_slot_override = 1;  // RMA-MCS needs several words
-  EXPECT_DEATH(lockspace::LockSpace(*world, config),
-               "LockSpace arena under-provisioned");
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +323,6 @@ TEST(LockSpaceOptimistic, ContendedReadsAlwaysReturnConsistentImages) {
       rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 4)));
   lockspace::LockSpaceConfig config;
   config.payload_words = 4;
-  config.optimistic_retries = 1;
   lockspace::LockSpace space(*world, config);
   const u64 key = 3;
   u64 torn = 0;
@@ -409,6 +388,84 @@ TEST(LockSpaceRecovery, RecoverOrphansReclaimsOnlyTheOrphanedLease) {
   EXPECT_EQ(result.crashes, 1u);
   EXPECT_EQ(reclaimed, 1u);
   EXPECT_EQ(reclaimed_again, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Re-homing on the blocking grant path
+// ---------------------------------------------------------------------------
+
+struct BlockingRehomeRun {
+  rma::RunResult result;
+  bool committed = false;
+  bool read_returned = false;
+  Nanos grant_ns = 0;   // rank 1's blocking grant
+  Nanos commit_ns = 0;  // rank 2's rehome commit
+  u64 instantiated = 0; // metrics()[0].instantiated_slots
+};
+
+/// Rank 0 holds the only key for 50 us; rank 1 queues behind it with a
+/// blocking acquire; rank 2 re-homes the shard while rank 1 waits; rank 3
+/// takes a blocking read long after the migration committed.
+BlockingRehomeRun run_blocking_rehome(bool skip_fence) {
+  auto world =
+      rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
+  lockspace::LockSpaceConfig config;
+  config.backend = locks::Backend::kRmaMcs;
+  config.shards = 1;
+  config.slots_per_shard = 1;
+  config.rehome_epochs = 1;
+  config.rehome_skip_fence = skip_fence;
+  lockspace::LockSpace space(*world, config);
+  constexpr u64 kKey = 0;
+  BlockingRehomeRun run;
+  run.result = world->run([&](rma::RmaComm& comm) {
+    switch (comm.rank()) {
+      case 0:
+        space.acquire(comm, kKey);
+        comm.compute(50'000);
+        space.release(comm, kKey);
+        break;
+      case 1:
+        comm.compute(1'000);
+        space.acquire(comm, kKey);
+        run.grant_ns = comm.now_ns();
+        space.release(comm, kKey);
+        break;
+      case 2:
+        comm.compute(5'000);
+        run.committed = space.rehome_shard(comm, /*shard=*/0, 1'000'000);
+        run.commit_ns = comm.now_ns();
+        break;
+      default:
+        comm.compute(1'000'000);
+        space.acquire_read(comm, kKey);
+        space.release_read(comm, kKey);
+        run.read_returned = true;
+        break;
+    }
+  });
+  run.instantiated = space.metrics()[0].instantiated_slots;
+  return run;
+}
+
+TEST(LockSpaceRehome, BlockingAcquireChasesTheMigratedPlane) {
+  // Rank 1's grant on the drained plane lands after rank 2 flipped the
+  // shard to migrating: the fence must deflect it to the successor plane,
+  // so its grant cannot precede the commit. Rank 3's read resolves the
+  // committed epoch and instantiates nothing new.
+  const BlockingRehomeRun fenced = run_blocking_rehome(/*skip_fence=*/false);
+  EXPECT_TRUE(fenced.result.ok());
+  EXPECT_TRUE(fenced.committed);
+  EXPECT_TRUE(fenced.read_returned);
+  EXPECT_EQ(fenced.instantiated, 2u);
+  EXPECT_GE(fenced.grant_ns, fenced.commit_ns);
+
+  // Negative control: without the fence rank 1 enters its critical
+  // section on the abandoned plane while the migration is still draining.
+  const BlockingRehomeRun planted = run_blocking_rehome(/*skip_fence=*/true);
+  EXPECT_TRUE(planted.result.ok());
+  EXPECT_TRUE(planted.committed);
+  EXPECT_LT(planted.grant_ns, planted.commit_ns);
 }
 
 }  // namespace
