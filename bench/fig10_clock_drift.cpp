@@ -251,8 +251,12 @@ int main(int argc, char** argv) {
   if (env.smoke) mixes.erase(mixes.begin() + 1);
   const Nanos margins[] = {0, 10'000, 40'000};
   const auto margin_tag = [](Nanos m) {
-    return m == 0 ? std::string("m0")
-                  : "m" + std::to_string(m / 1000) + "k";
+    // Appended, not "m" + to_string(...): GCC 12 reports a false-positive
+    // -Wrestrict on that operator+.
+    std::string tag = "m";
+    tag += std::to_string(m / 1000);
+    if (m != 0) tag += 'k';
+    return tag;
   };
   const ModeDef modes[] = {{"timed", Mode::kTimed},
                            {"fenced", Mode::kFenced}};

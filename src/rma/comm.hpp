@@ -94,16 +94,10 @@ class RmaComm {
   /// multi-word read is not a single atomic unit, and concurrent writers may
   /// interleave between the words (a "torn read"). Protocols that read
   /// multi-word payloads without holding a lock MUST validate (version
-  /// words, checksums, retry loops); see LockSpace::optimistic_read. The
-  /// default falls back to per-word blocking gets, which is always correct
-  /// under the fallback's cost model but still word-atomic only in general;
-  /// SimWorld overrides this with a torn-read fault model so the model
-  /// checker can explore every tear placement.
-  virtual void get_vec(Rank target, WinOffset offset, i64* out, usize n) {
-    for (usize i = 0; i < n; ++i) {
-      out[i] = get(target, offset + static_cast<WinOffset>(i));
-    }
-  }
+  /// words, checksums, retry loops); see LockSpace::optimistic_read.
+  /// SimWorld models the tear as an explorable fault so the model checker
+  /// can explore every tear placement.
+  virtual void get_vec(Rank target, WinOffset offset, i64* out, usize n) = 0;
 
   /// Complete all pending RMA calls started by the calling process and
   /// targeted at target. This is the completion/cost point of the
@@ -113,18 +107,13 @@ class RmaComm {
   // --- nonblocking issue (see the header comment) --------------------------
 
   /// Pipelined put: effect applied at issue, completion charged by the next
-  /// flush(target). Runtimes without a pipelined path may fall back to the
-  /// blocking op (the default), which is always correct — just slower.
-  virtual void iput(i64 src_data, Rank target, WinOffset offset) {
-    put(src_data, target, offset);
-  }
+  /// flush(target).
+  virtual void iput(i64 src_data, Rank target, WinOffset offset) = 0;
 
   /// Pipelined accumulate: effect applied at issue, completion charged by
   /// the next flush(target).
   virtual void iaccumulate(i64 oprd, Rank target, WinOffset offset,
-                           AccumOp op) {
-    accumulate(oprd, target, offset, op);
-  }
+                           AccumOp op) = 0;
 
   // --- deadline-aware single attempts --------------------------------------
   // Gray-failure plumbing: the blocking ops above spin forever with
@@ -202,10 +191,10 @@ class RmaComm {
   /// Per-process op statistics.
   [[nodiscard]] virtual OpStats& stats() = 0;
 
-  /// The world's structured event tracer, or null when tracing is disarmed
-  /// (the default for runtimes without one). Lock protocols record their
-  /// phase spans through ObsSpan below; the null case costs one branch.
-  [[nodiscard]] virtual obs::Tracer* tracer() { return nullptr; }
+  /// The world's structured event tracer, or null when tracing is disarmed.
+  /// Lock protocols record their phase spans through ObsSpan below; the null
+  /// case costs one branch.
+  [[nodiscard]] virtual obs::Tracer* tracer() = 0;
 
  protected:
   RmaComm() = default;

@@ -1,8 +1,8 @@
 #include "rma/sim_world.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "obs/trace.hpp"
@@ -77,9 +77,7 @@ class SimComm final : public RmaComm {
     return world_.execute_try_op(rank_, OpKind::kCas, target, offset, src_data,
                                  cmp_data, AccumOp::kReplace, deadline_ns);
   }
-  void flush(Rank target) override {
-    world_.execute_op(rank_, OpKind::kFlush, target, 0, 0, 0, AccumOp::kSum);
-  }
+  void flush(Rank target) override { world_.execute_flush(rank_, target); }
 
   void crash_point() override { world_.execute_crash_point(rank_); }
   [[nodiscard]] bool suspected(Rank target) override {
@@ -376,14 +374,7 @@ void SimWorld::finish_proc(Rank rank) {
   } else {
     // Our exit may satisfy a barrier the remaining processes wait in.
     release_barrier_if_complete();
-    Rank next = pick_next();
-    if (next == kNilRank) {
-      handle_no_runnable();
-      next = pick_next();
-    }
-    RMALOCK_CHECK_MSG(next != kNilRank,
-                      "engine invariant: no schedulable process after finish");
-    switch_to_proc(self.fiber, next);
+    switch_to_proc(self.fiber, pick_or_force_wake());
   }
   RMALOCK_CHECK_MSG(false, "finished fiber resumed");
   std::abort();  // unreachable; satisfies [[noreturn]]
@@ -489,16 +480,33 @@ void SimWorld::yield_cpu(Rank origin) {
 }
 
 void SimWorld::hand_off_from_blocked(Rank origin) {
-  Proc& self = *procs_[static_cast<usize>(origin)];
+  const Rank next = pick_or_force_wake();
+  if (next == origin) return;  // force-woken (or barrier-released) already
+  switch_to_proc(procs_[static_cast<usize>(origin)]->fiber, next);
+}
+
+Rank SimWorld::pick_or_force_wake() {
   Rank next = pick_next();
   if (next == kNilRank) {
     handle_no_runnable();
     next = pick_next();
   }
   RMALOCK_CHECK_MSG(next != kNilRank,
-                    "engine invariant: no schedulable process while blocking");
-  if (next == origin) return;  // force-woken (or barrier-released) already
-  switch_to_proc(self.fiber, next);
+                    "engine invariant: no schedulable process");
+  return next;
+}
+
+bool SimWorld::wake_parked(bool by_write, Nanos at) {
+  bool woke_any = false;
+  for (Rank r = 0; r < nprocs(); ++r) {
+    Proc& proc = *procs_[static_cast<usize>(r)];
+    if (proc.state != ProcState::kParked) continue;
+    proc.clock = std::max(proc.clock, at);
+    proc.woken_by_write = by_write;
+    make_runnable(proc, r);
+    woke_any = true;
+  }
+  return woke_any;
 }
 
 void SimWorld::handle_no_runnable() {
@@ -520,22 +528,13 @@ void SimWorld::handle_no_runnable() {
     begin_stop(/*deadlock=*/true, /*step_limit=*/false);
     return;
   }
-  bool woke_any = false;
-  for (Rank r = 0; r < nprocs(); ++r) {
-    Proc& proc = *procs_[static_cast<usize>(r)];
-    if (proc.state == ProcState::kParked) {
-      // Once a crash has happened, force-wakes return the pending Get to
-      // the caller (the failure-detector timeout firing): a proc that
-      // parked polling a dead owner's cell must re-evaluate suspicion in
-      // its own loop, which no window write will ever trigger. Without
-      // crashes the plain force-wake (re-poll, re-park) is kept so stall
-      // detection stays cheap and decision sequences stay bit-compatible.
-      proc.woken_by_write = result_.crashes > 0;
-      make_runnable(proc, r);
-      woke_any = true;
-    }
-  }
-  if (!woke_any) {
+  // Once a crash has happened, force-wakes return the pending Get to the
+  // caller (the failure-detector timeout firing): a proc that parked
+  // polling a dead owner's cell must re-evaluate suspicion in its own loop,
+  // which no window write will ever trigger. Without crashes the plain
+  // force-wake (re-poll, re-park) is kept so stall detection stays cheap
+  // and decision sequences stay bit-compatible.
+  if (!wake_parked(/*by_write=*/result_.crashes > 0, /*at=*/0)) {
     // Only barrier waiters remain and the barrier cannot complete.
     begin_stop(/*deadlock=*/true, /*step_limit=*/false);
   }
@@ -546,28 +545,23 @@ void SimWorld::begin_stop(bool deadlock, bool step_limit) {
   stopping_ = true;
   result_.deadlocked = deadlock;
   result_.step_limit_hit = step_limit;
-  if (deadlock && std::getenv("RMALOCK_DEBUG_DEADLOCK") != nullptr) {
-    std::fprintf(stderr, "[rmalock] deadlock dump (steps=%llu):\n",
-                 static_cast<unsigned long long>(steps_));
+  if (deadlock && opts_.abort_on_deadlock) {
+    // One line per unfinished rank: its state and the cells it waits on.
+    std::ostringstream blocked;
     for (Rank r = 0; r < nprocs(); ++r) {
       const Proc& proc = *procs_[static_cast<usize>(r)];
       if (proc.state == ProcState::kFinished) continue;
-      std::fprintf(stderr, "  rank %d state=%d clock=%lld waits:", r,
-                   static_cast<int>(proc.state),
-                   static_cast<long long>(proc.clock));
+      blocked << "\n  rank " << r << " state=" << static_cast<int>(proc.state)
+              << " clock=" << proc.clock << " waits:";
       for (const auto& [t, o] : proc.wait_cells) {
-        std::fprintf(stderr, " (%d,%lld)=%lld", t, static_cast<long long>(o),
-                     static_cast<long long>(windows_[cell(t, o)]));
+        blocked << " (" << t << ',' << o << ")=" << windows_[cell(t, o)];
       }
-      std::fprintf(stderr, "\n");
     }
-  }
-  if (deadlock && opts_.abort_on_deadlock) {
     RMALOCK_CHECK_MSG(false, "SimWorld deadlock: all "
                                  << unfinished_
                                  << " unfinished processes are blocked and no "
                                     "window write can ever occur (steps="
-                                 << steps_ << ")");
+                                 << steps_ << ")" << blocked.str());
   }
   for (Rank r = 0; r < nprocs(); ++r) {
     Proc& proc = *procs_[static_cast<usize>(r)];
@@ -625,19 +619,9 @@ void SimWorld::execute_barrier(Rank origin) {
   barrier_ranks_.push_back(origin);
   ++barrier_arrived_;
   if (barrier_arrived_ >= unfinished_) {
-    // Last arrival: synchronize clocks and release everyone; we keep the
-    // cpu and yield normally.
-    Nanos max_clock = 0;
-    for (const Rank r : barrier_ranks_) {
-      max_clock = std::max(max_clock, procs_[static_cast<usize>(r)]->clock);
-    }
-    for (const Rank r : barrier_ranks_) {
-      Proc& proc = *procs_[static_cast<usize>(r)];
-      proc.clock = max_clock;
-      if (r != origin) make_runnable(proc, r);
-    }
-    barrier_arrived_ = 0;
-    barrier_ranks_.clear();
+    // Last arrival: synchronize clocks and release everyone (make_runnable
+    // skips us, the running caller); we keep the cpu and yield normally.
+    release_barrier_if_complete();
     yield_cpu(origin);
     return;
   }
@@ -651,38 +635,30 @@ void SimWorld::execute_barrier(Rank origin) {
 // ---------------------------------------------------------------------------
 
 i64 SimWorld::apply_to_window(OpKind kind, Rank target, WinOffset offset,
-                              i64 operand, i64 cmp, AccumOp aop, bool* wrote) {
+                              i64 operand, i64 cmp, AccumOp aop,
+                              Nanos completion) {
   i64& word = windows_[cell(target, offset)];
-  *wrote = false;
+  const i64 old = word;
   switch (kind) {
+    case OpKind::kGet:
+      return old;
     case OpKind::kPut:
       word = operand;
-      *wrote = true;
-      return 0;
-    case OpKind::kGet:
-      return word;
+      break;
     case OpKind::kAccumulate:
-      word = (aop == AccumOp::kSum) ? word + operand : operand;
-      *wrote = true;
-      return 0;
-    case OpKind::kFao: {
-      const i64 old = word;
-      word = (aop == AccumOp::kSum) ? word + operand : operand;
-      *wrote = true;
-      return old;
-    }
-    case OpKind::kCas: {
-      const i64 old = word;
-      if (old == cmp) {
-        word = operand;
-        *wrote = true;
-      }
-      return old;
-    }
+    case OpKind::kFao:
+      word = (aop == AccumOp::kSum) ? old + operand : operand;
+      break;
+    case OpKind::kCas:
+      if (old != cmp) return old;
+      word = operand;
+      break;
     default:
       RMALOCK_CHECK_MSG(false, "bad op kind");
-      return 0;
   }
+  ++window_writes_;
+  wake_waiters(target, offset, completion);
+  return old;
 }
 
 void SimWorld::register_waiter(Rank target, WinOffset offset, Rank waiter) {
@@ -892,76 +868,68 @@ bool SimWorld::settle_pending_acks(Proc& proc, Rank target) {
   return false;
 }
 
+Nanos SimWorld::charge(Proc& self, OpKind kind, Rank target, i32 dclass,
+                       Nanos cost, IssueMode mode) {
+  if (dclass == 0) {
+    // Self access: no pipelining win to model; both modes charge the op.
+    self.clock += cost;
+    return self.clock;
+  }
+  const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
+  const Nanos completion = book_nic(target, self.clock + cost / 2, occupancy);
+  if (mode == IssueMode::kNonblocking) {
+    // The request departs now; the origin's NIC stays busy for one
+    // injection slot (that slot overlaps the wire time — it is what
+    // serializes a burst of issues, not what delays each request).
+    self.clock += occupancy;
+    note_pending_ack(self, target, completion + (cost - cost / 2));
+  } else {
+    self.clock = completion + (cost - cost / 2);
+  }
+  return completion;
+}
+
+void SimWorld::execute_flush(Rank origin, Rank target) {
+  check_stop(origin);
+  Proc& self = *procs_[static_cast<usize>(origin)];
+  RMALOCK_DCHECK(target >= 0 && target < nprocs());
+  // Flush changes no shared state: charge its cost but skip the scheduling
+  // point (halves engine steps for the flush-heavy listings). It is the
+  // completion point of nonblocking ops: the origin catches up to
+  // max(completion + return trip) of everything it issued at target.
+  self.stats.record(OpKind::kFlush, dclass_of(origin, target));
+  self.clock += opts_.latency.flush_ns;
+  if (!self.pending_acks.empty() && settle_pending_acks(self, target) &&
+      opts_.policy == SchedPolicy::kVirtualTime) {
+    // The deferred round trip can jump the clock far ahead. Hand the cpu
+    // back so procs still behind in virtual time book their NIC slots in
+    // arrival order — without this the issuer races through the
+    // (non-scheduling) flush and its *next* op is booked ahead of earlier
+    // arrivals, which inverts the target's NIC queue and inflates queueing
+    // delay under contention. List policies skip the yield: flush changes
+    // no shared state (no interleaving is lost) and their decision
+    // sequences must stay bit-compatible with recorded schedule traces.
+    yield_cpu(origin);
+  }
+}
+
 i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
                          WinOffset offset, i64 operand, i64 cmp, AccumOp aop,
                          IssueMode mode) {
   check_stop(origin);
   Proc& self = *procs_[static_cast<usize>(origin)];
   RMALOCK_DCHECK(target >= 0 && target < nprocs());
+  RMALOCK_DCHECK(offset >= 0 && static_cast<usize>(offset) < window_words());
   const i32 dclass = dclass_of(origin, target);
-
-  if (kind == OpKind::kFlush) {
-    // Flush changes no shared state: charge its cost but skip the
-    // scheduling point (halves engine steps for the flush-heavy listings).
-    // It is the completion point of nonblocking ops: the origin catches up
-    // to max(completion + return trip) of everything it issued at target.
-    self.stats.record(kind, dclass);
-    self.clock += opts_.latency.flush_ns;
-    if (!self.pending_acks.empty() && settle_pending_acks(self, target) &&
-        opts_.policy == SchedPolicy::kVirtualTime) {
-      // The deferred round trip can jump the clock far ahead. Hand the cpu
-      // back so procs still behind in virtual time book their NIC slots in
-      // arrival order — without this the issuer races through the
-      // (non-scheduling) flush and its *next* op is booked ahead of
-      // earlier arrivals, which inverts the target's NIC queue and
-      // inflates queueing delay under contention. List policies skip the
-      // yield: flush changes no shared state (no interleaving is lost)
-      // and their decision sequences must stay bit-compatible with
-      // recorded schedule traces.
-      yield_cpu(origin);
-    }
-    return 0;
-  }
-
   for (;;) {
     const Nanos cost = remote_op_faults(origin, target, kind, dclass);
     bump_step(origin);
     self.stats.record(kind, dclass);
-    RMALOCK_DCHECK(offset >= 0 &&
-                   static_cast<usize>(offset) < window_words());
-
-    // Cost accounting: a blocking op charges full end-to-end latency at the
-    // op; a nonblocking op charges the origin only its injection slot here
-    // and defers the rest to flush. Remote ops of either mode queue in the
-    // target's NIC (contention model).
-    Nanos completion;  // when the op takes effect at the target
-    if (dclass == 0) {
-      // Self access: no pipelining win to model; both modes charge the op.
-      self.clock += cost;
-      completion = self.clock;
-    } else {
-      const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-      completion = book_nic(target, self.clock + cost / 2, occupancy);
-      if (mode == IssueMode::kNonblocking) {
-        // The request departs now; the origin's NIC stays busy for one
-        // injection slot (that slot overlaps the wire time — it is what
-        // serializes a burst of issues, not what delays each request).
-        self.clock += occupancy;
-        note_pending_ack(self, target, completion + (cost - cost / 2));
-      } else {
-        self.clock = completion + (cost - cost / 2);
-      }
-    }
-
-    bool wrote = false;
-    const i64 result =
-        apply_to_window(kind, target, offset, operand, cmp, aop, &wrote);
+    const Nanos completion = charge(self, kind, target, dclass, cost, mode);
     trace_event(origin, obs::EventCode::kRmaOp, static_cast<i64>(kind),
                 target, dclass);
-    if (wrote) {
-      ++window_writes_;
-      wake_waiters(target, offset, completion);
-    }
+    const i64 result =
+        apply_to_window(kind, target, offset, operand, cmp, aop, completion);
     if (kind == OpKind::kGet) {
       if (track_poll(self, target, offset, result) &&
           poll_snapshot_is_current(self)) {
@@ -1025,13 +993,7 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   // One blocking-get round trip for the whole vector: the payload words ride
   // one request, so latency is round-trip dominated like a single get. The
   // tear (if any) is a scheduling point, not an extra cost point.
-  if (dclass == 0) {
-    self.clock += cost;
-  } else {
-    const Nanos occupancy = opts_.latency.occupancy(OpKind::kGet, dclass);
-    self.clock = book_nic(target, self.clock + cost / 2, occupancy) +
-                 (cost - cost / 2);
-  }
+  charge(self, OpKind::kGet, target, dclass, cost, IssueMode::kBlocking);
 
   // A vectored read is not a spin primitive (validated-read protocols retry
   // a bounded number of times, then fall back to a lock), so it never parks.
@@ -1191,38 +1153,24 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
   // parks — the caller owns the retry loop and its backoff.
   clear_polls(self);
 
-  Nanos completion;
-  if (dclass == 0) {
-    // Self access cannot be partitioned away.
-    self.clock += cost;
-    completion = self.clock;
-  } else {
-    const Nanos until = partition_until_[static_cast<usize>(target)];
-    const Nanos arrival = self.clock + cost / 2;
-    if (until > arrival && until > deadline_ns) {
-      // The target is unreachable past the caller's deadline: fail fast
-      // WITHOUT applying the op. The failed attempt still costs the caller
-      // the time spent finding out (bounded by the deadline itself).
-      self.clock = std::max(self.clock, deadline_ns);
-      trace_event(origin, obs::EventCode::kTryTimeout,
-                  static_cast<i64>(kind), target);
-      yield_cpu(origin);
-      return TryResult{TryStatus::kTimeout, 0};
-    }
-    completion =
-        book_nic(target, arrival, opts_.latency.occupancy(kind, dclass));
-    // A slow-but-delivered attempt (straggler) completes late rather than
-    // failing: the caller re-checks now_ns() against its deadline.
-    self.clock = completion + (cost - cost / 2);
+  // Self access cannot be partitioned away.
+  const Nanos until = partition_until_[static_cast<usize>(target)];
+  if (dclass != 0 && until > self.clock + cost / 2 && until > deadline_ns) {
+    // The target is unreachable past the caller's deadline: fail fast
+    // WITHOUT applying the op. The failed attempt still costs the caller the
+    // time spent finding out (bounded by the deadline itself).
+    self.clock = std::max(self.clock, deadline_ns);
+    trace_event(origin, obs::EventCode::kTryTimeout, static_cast<i64>(kind),
+                target);
+    yield_cpu(origin);
+    return TryResult{TryStatus::kTimeout, 0};
   }
-
-  bool wrote = false;
+  // A slow-but-delivered attempt (straggler) completes late rather than
+  // failing: the caller re-checks now_ns() against its deadline.
+  const Nanos completion =
+      charge(self, kind, target, dclass, cost, IssueMode::kBlocking);
   const i64 result =
-      apply_to_window(kind, target, offset, operand, cmp, aop, &wrote);
-  if (wrote) {
-    ++window_writes_;
-    wake_waiters(target, offset, completion);
-  }
+      apply_to_window(kind, target, offset, operand, cmp, aop, completion);
   yield_cpu(origin);
   return TryResult{TryStatus::kOk, result};
 }
@@ -1269,20 +1217,11 @@ void SimWorld::execute_crash_point(Rank origin) {
   self.pending_acks.clear();
   trace_event(origin, obs::EventCode::kCrash,
               static_cast<i64>(self.incarnation));
-  wake_all_parked_on_crash(origin);
+  // A crash is a failure-detection event: wake every parked process with
+  // write semantics so pending Gets return and callers can re-evaluate
+  // suspicion (a dead owner never writes the cell they parked on).
+  wake_parked(/*by_write=*/true, /*at=*/self.clock);
   throw ProcCrashed{};
-}
-
-void SimWorld::wake_all_parked_on_crash(Rank crasher) {
-  const Nanos when = procs_[static_cast<usize>(crasher)]->clock;
-  for (Rank r = 0; r < nprocs(); ++r) {
-    if (r == crasher) continue;
-    Proc& proc = *procs_[static_cast<usize>(r)];
-    if (proc.state != ProcState::kParked) continue;
-    proc.clock = std::max(proc.clock, when);
-    proc.woken_by_write = true;
-    make_runnable(proc, r);
-  }
 }
 
 }  // namespace rmalock::rma

@@ -247,9 +247,14 @@ class SimWorld final : public World {
   [[noreturn]] void finish_proc(Rank rank);
 
   // --- engine (all called from the currently running fiber) ---------------
+  /// A single-word op (every RmaComm op but flush, get_vec and try_*): one
+  /// engine step; a get that detects a pure spin parks and re-issues.
   i64 execute_op(Rank origin, OpKind kind, Rank target, WinOffset offset,
                  i64 operand, i64 cmp, AccumOp aop,
                  IssueMode mode = IssueMode::kBlocking);
+  /// flush(target): charges flush_ns and settles the acks pending at
+  /// target. Not a scheduling point unless settlement jumps the clock.
+  void execute_flush(Rank origin, Rank target);
   void execute_compute(Rank origin, Nanos ns);
   void execute_barrier(Rank origin);
   /// Multi-word get (RmaComm::get_vec) with the torn-read fault model: with
@@ -277,6 +282,14 @@ class SimWorld final : public World {
   /// budget lasts); applies a drift or partition and returns the op's
   /// completion charge, stretched by delay_factor for a straggler.
   Nanos remote_op_faults(Rank origin, Rank target, OpKind kind, i32 dclass);
+  /// The one cost path of an op whose faults are decided (`cost` from
+  /// remote_op_faults). Self access adds `cost` to the clock. A remote op
+  /// books target's NIC at clock + cost/2; blocking, it then pays the
+  /// return trip; nonblocking, it pays one injection slot and leaves a
+  /// pending ack for the next flush(target). Returns the op's completion
+  /// time at the target.
+  Nanos charge(Proc& self, OpKind kind, Rank target, i32 dclass, Nanos cost,
+               IssueMode mode);
   /// Books a remote op on target's NIC: the op arrives at `arrival`,
   /// stalled past any partition window, queues behind earlier bookings and
   /// holds the NIC for `occupancy`. Returns its completion time.
@@ -286,8 +299,8 @@ class SimWorld final : public World {
   /// reproduces the exact clock trajectory).
   void apply_drift(Rank origin);
   /// Deadline-aware single-attempt op (RmaComm::try_*): one engine step,
-  /// never parks; fails fast without applying when the target is inside a
-  /// partition window that outlasts the deadline.
+  /// never parks and logs no rma-op event; fails fast without applying when
+  /// the target is inside a partition window that outlasts the deadline.
   TryResult execute_try_op(Rank origin, OpKind kind, Rank target,
                            WinOffset offset, i64 operand, i64 cmp, AccumOp aop,
                            Nanos deadline_ns);
@@ -297,21 +310,25 @@ class SimWorld final : public World {
   void execute_crash_point(Rank origin);
   /// Failure detector backing RmaComm::suspected().
   [[nodiscard]] bool proc_suspected(Rank origin, Rank target) const;
-  /// A crash is a failure-detection event: wakes every parked process with
-  /// write semantics so pending Gets return and callers can re-evaluate
-  /// suspicion (a dead owner never writes the cell they parked on).
-  void wake_all_parked_on_crash(Rank crasher);
 
+  /// The one write path: applies the op to the target word and returns the
+  /// word's previous value. A write (every put, accumulate and fao, and a
+  /// successful cas) counts for stall detection and wakes the cell's
+  /// waiters at `completion`.
   i64 apply_to_window(OpKind kind, Rank target, WinOffset offset, i64 operand,
-                      i64 cmp, AccumOp aop, bool* wrote);
+                      i64 cmp, AccumOp aop, Nanos completion);
   void wake_waiters(Rank target, WinOffset offset, Nanos write_time);
+  /// Makes every parked process runnable, its clock raised to `at`;
+  /// `by_write` returns its pending get to the caller instead of re-polling.
+  /// True iff any process was parked.
+  bool wake_parked(bool by_write, Nanos at);
 
   /// Records a nonblocking op's acknowledgement time (completion + return
   /// trip) for the next flush(target) to charge.
   void note_pending_ack(Proc& proc, Rank target, Nanos ack_time);
   /// flush(target): advances proc.clock past every pending ack to target.
   /// True iff a pending ack actually raised the clock (a jump that needs a
-  /// virtual-time rescheduling point, see the flush path in execute_op).
+  /// virtual-time rescheduling point, see execute_flush).
   bool settle_pending_acks(Proc& proc, Rank target);
 
   /// Updates origin's poll tracker after a get; returns true if the caller
@@ -329,6 +346,9 @@ class SimWorld final : public World {
 
   /// Picks the next process to run; kNilRank if no one is runnable.
   Rank pick_next();
+  /// pick_next(), force-waking parked processes (handle_no_runnable) when
+  /// no one is runnable; CHECKs that someone then is.
+  Rank pick_or_force_wake();
   /// kReplay: index into ready_list_ of the next decision (replay trace,
   /// then pick_hook, then deterministic smallest-rank fallback).
   usize replay_pick_index();

@@ -25,9 +25,7 @@ class ThreadComm final : public RmaComm {
   }
 
   void put(i64 src_data, Rank target, WinOffset offset) override {
-    account(OpKind::kPut, target);
-    world_.word(target, offset).store(src_data, std::memory_order_seq_cst);
-    note_progress();
+    store(src_data, target, offset, std::memory_order_seq_cst);
   }
 
   // Nonblocking issue: release-ordered per-word atomics. Release (not
@@ -39,21 +37,13 @@ class ThreadComm final : public RmaComm {
   // fence in flush() remains the full completion/ordering point the
   // iput/iaccumulate contract documents.
   void iput(i64 src_data, Rank target, WinOffset offset) override {
-    account(OpKind::kPut, target);
-    world_.word(target, offset).store(src_data, std::memory_order_release);
-    note_progress();
+    store(src_data, target, offset, std::memory_order_release);
   }
 
   void iaccumulate(i64 oprd, Rank target, WinOffset offset,
                    AccumOp op) override {
-    account(OpKind::kAccumulate, target);
-    auto& word = world_.word(target, offset);
-    if (op == AccumOp::kSum) {
-      word.fetch_add(oprd, std::memory_order_release);
-    } else {
-      word.exchange(oprd, std::memory_order_release);
-    }
-    note_progress();
+    fetch_op(OpKind::kAccumulate, oprd, target, offset, op,
+             std::memory_order_release);
   }
 
   i64 get(Rank target, WinOffset offset) override {
@@ -78,24 +68,13 @@ class ThreadComm final : public RmaComm {
 
   void accumulate(i64 oprd, Rank target, WinOffset offset,
                   AccumOp op) override {
-    account(OpKind::kAccumulate, target);
-    auto& word = world_.word(target, offset);
-    if (op == AccumOp::kSum) {
-      word.fetch_add(oprd, std::memory_order_seq_cst);
-    } else {
-      word.exchange(oprd, std::memory_order_seq_cst);
-    }
-    note_progress();
+    fetch_op(OpKind::kAccumulate, oprd, target, offset, op,
+             std::memory_order_seq_cst);
   }
 
   i64 fao(i64 oprd, Rank target, WinOffset offset, AccumOp op) override {
-    account(OpKind::kFao, target);
-    auto& word = world_.word(target, offset);
-    const i64 old = (op == AccumOp::kSum)
-                        ? word.fetch_add(oprd, std::memory_order_seq_cst)
-                        : word.exchange(oprd, std::memory_order_seq_cst);
-    note_progress();
-    return old;
+    return fetch_op(OpKind::kFao, oprd, target, offset, op,
+                    std::memory_order_seq_cst);
   }
 
   i64 cas(i64 src_data, i64 cmp_data, Rank target, WinOffset offset) override {
@@ -153,11 +132,27 @@ class ThreadComm final : public RmaComm {
 
  private:
   void account(OpKind kind, Rank target) {
-    const i32 d = distance_class(world_.topology(), rank_, target);
-    world_.stats_[static_cast<usize>(rank_)].record(kind, d);
-    if (world_.options().inject_latency) {
-      compute(world_.options().latency.op_cost(kind, d));
-    }
+    world_.stats_[static_cast<usize>(rank_)].record(
+        kind, distance_class(world_.topology(), rank_, target));
+  }
+
+  /// The body of put and iput.
+  void store(i64 value, Rank target, WinOffset offset,
+             std::memory_order order) {
+    account(OpKind::kPut, target);
+    world_.word(target, offset).store(value, order);
+    note_progress();
+  }
+
+  /// The body of accumulate, iaccumulate and fao: returns the previous word.
+  i64 fetch_op(OpKind kind, i64 oprd, Rank target, WinOffset offset,
+               AccumOp op, std::memory_order order) {
+    account(kind, target);
+    auto& word = world_.word(target, offset);
+    const i64 old = (op == AccumOp::kSum) ? word.fetch_add(oprd, order)
+                                          : word.exchange(oprd, order);
+    note_progress();
+    return old;
   }
 
   void note_progress() {
@@ -182,9 +177,6 @@ class ThreadComm final : public RmaComm {
 
 ThreadWorld::ThreadWorld(ThreadOptions opts)
     : World(opts.topology), opts_(std::move(opts)) {
-  if (opts_.latency.rma_ns.empty()) {
-    opts_.latency = LatencyModel::xc30(topology_.num_levels());
-  }
   windows_.resize(static_cast<usize>(nprocs()));
   stats_.assign(static_cast<usize>(nprocs()), OpStats(topology_.num_levels()));
 }
@@ -251,10 +243,6 @@ OpStats ThreadWorld::aggregate_stats() const {
   OpStats agg(topology_.num_levels());
   for (const auto& s : stats_) agg += s;
   return agg;
-}
-
-void ThreadWorld::reset_stats() {
-  for (auto& s : stats_) s.reset();
 }
 
 }  // namespace rmalock::rma

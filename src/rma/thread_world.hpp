@@ -11,16 +11,12 @@
 // kept livable under oversubscription by the same repeated-poll detector
 // SimWorld uses for parking: here it escalates an exponential backoff
 // instead.
-//
-// Optional latency injection busy-waits each op for its LatencyModel cost,
-// which roughly reproduces relative op costs for small-P sanity runs.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <vector>
 
-#include "rma/latency_model.hpp"
 #include "rma/world.hpp"
 
 namespace rmalock::rma {
@@ -28,9 +24,6 @@ namespace rmalock::rma {
 struct ThreadOptions {
   topo::Topology topology;
   u64 seed = 1;
-  /// Busy-wait each op for its modeled cost (off by default: pure stress).
-  bool inject_latency = false;
-  LatencyModel latency{};
   /// Structured event sink (obs/trace.hpp). Not owned; must outlive run().
   /// Safe under real threads: each rank writes only its own ring and
   /// counter slice. Timestamps are the real monotonic clock, so ThreadWorld
@@ -53,7 +46,6 @@ class ThreadWorld final : public World {
   [[nodiscard]] i64 read_word(Rank rank, WinOffset offset) const override;
   void write_word(Rank rank, WinOffset offset, i64 value) override;
   [[nodiscard]] OpStats aggregate_stats() const override;
-  void reset_stats();
 
   [[nodiscard]] const ThreadOptions& options() const { return opts_; }
 

@@ -1,7 +1,8 @@
 // Tracer: ring wrap/overflow semantics, the Chrome trace-event JSON schema
-// pin, post-mortem rendering, and end-to-end byte determinism of SimWorld
-// traces (same run -> same bytes; the cross---jobs flavor of the same claim
-// is self-checked by fig7_lockspace).
+// pin, post-mortem rendering, which ops SimWorld logs as rma-op events, and
+// end-to-end byte determinism of SimWorld traces (same run -> same bytes;
+// the cross---jobs flavor of the same claim is self-checked by
+// fig7_lockspace).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -150,6 +151,35 @@ TEST(SimWorldTrace, SameRunSameBytes) {
   EXPECT_NE(first.find("\"name\": \"acquire\""), std::string::npos);
   EXPECT_NE(first.find("\"name\": \"critical-section\""), std::string::npos);
   EXPECT_NE(first.find("\"name\": \"rma-op\""), std::string::npos);
+}
+
+TEST(SimWorldTrace, RmaOpEventsPerOpKind) {
+  // Blocking and nonblocking single-word ops each log one rma-op event;
+  // flush, try attempts and a multi-word get_vec log none.
+  Tracer tracer(2);
+  rma::SimOptions opts;
+  opts.topology = topo::Topology::uniform({}, 2);
+  opts.tracer = &tracer;
+  auto world = rma::SimWorld::create(opts);
+  const WinOffset off = world->allocate(3);
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() != 0) return;
+    comm.put(1, 1, off);
+    comm.iput(2, 1, off);
+    comm.accumulate(1, 1, off, rma::AccumOp::kSum);
+    comm.iaccumulate(1, 1, off, rma::AccumOp::kSum);
+    comm.fao(1, 1, off, rma::AccumOp::kSum);
+    comm.cas(0, 5, 1, off);
+    comm.get(1, off);
+    comm.flush(1);
+    const Nanos deadline = comm.now_ns() + 1'000'000;
+    comm.try_get(1, off, deadline);
+    comm.try_cas(0, 6, 1, off, deadline);
+    i64 words[3] = {};
+    comm.get_vec(1, off, words, 3);
+  });
+  EXPECT_EQ(tracer.count(EventCode::kRmaOp), 7u);
+  EXPECT_EQ(tracer.count(EventCode::kTryTimeout), 0u);
 }
 
 TEST(SimWorldTrace, SpansNestPerRank) {

@@ -160,7 +160,9 @@ TEST(SimWorldCrash, RestartRerunsTheBodyUnderAFreshIncarnation) {
   EXPECT_TRUE(result.crashed_ranks.empty());
   EXPECT_EQ(entries[kVictim], 2);
   for (Rank r = 0; r < 4; ++r) {
-    if (r != kVictim) EXPECT_EQ(entries[static_cast<usize>(r)], 1);
+    if (r != kVictim) {
+      EXPECT_EQ(entries[static_cast<usize>(r)], 1);
+    }
   }
 }
 

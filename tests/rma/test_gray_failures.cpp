@@ -2,9 +2,9 @@
 // decision and record nothing (bit-compatible traces), armed ops respect
 // the delay/partition budgets and count injected faults, straggler delays
 // stretch the virtual clock, transient partitions stall blocking ops until
-// the window closes while try_* ops fail fast within their deadline, gray
-// decisions share the picks stream below the tear range (rma/faults.hpp)
-// and record/replay bit-identically.
+// the window closes while try_* ops fail fast within their deadline (and
+// never park on an unchanged word), gray decisions share the picks stream
+// below the tear range (rma/faults.hpp) and record/replay bit-identically.
 #include <gtest/gtest.h>
 
 #include "../support/test_support.hpp"
@@ -128,6 +128,39 @@ TEST(SimWorldGray, TryOpsFailFastAgainstAPartitionedTarget) {
   });
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.partitions, 1u);
+}
+
+TEST(SimWorldGray, TryOpsNeverParkOnAnUnchangedWord) {
+  // A deadline-bounded attempt is not a spin primitive: re-reading a word
+  // nobody writes must keep returning answers, where the same loop of
+  // blocking gets parks and, with no writer left, ends deadlocked.
+  constexpr i32 kReads = 20;
+  const auto answers = [](bool try_ops) {
+    SimOptions opts;
+    opts.topology = topo::Topology::uniform({}, 2);
+    opts.abort_on_deadlock = false;
+    auto world = SimWorld::create(std::move(opts));
+    const WinOffset off = world->allocate(1);
+    world->init_word(1, off, 7);
+    i32 answered = 0;
+    const RunResult result = world->run([&](RmaComm& comm) {
+      if (comm.rank() != 0) return;
+      for (i32 i = 0; i < kReads; ++i) {
+        const i64 value =
+            try_ops ? comm.try_get(1, off, comm.now_ns() + 1'000'000).value
+                    : comm.get(1, off);
+        EXPECT_EQ(value, 7);
+        ++answered;
+      }
+    });
+    return std::pair{result, answered};
+  };
+  const auto [tried, tried_answers] = answers(/*try_ops=*/true);
+  EXPECT_TRUE(tried.ok());
+  EXPECT_EQ(tried_answers, kReads);
+  const auto [blocked, blocked_answers] = answers(/*try_ops=*/false);
+  EXPECT_TRUE(blocked.deadlocked);
+  EXPECT_LT(blocked_answers, kReads);
 }
 
 TEST(SimWorldGray, GrayPicksLiveBelowTheTearRange) {

@@ -354,7 +354,10 @@ TEST(SimWorldDeathTest, DeadlockAbortsByDefault) {
                    comm.flush(comm.rank());
                  } while (v == 0);
                }),
-               "deadlock");
+               // The abort message names every blocked rank's wait cells.
+               "deadlock(.|\n)*rank 0 state=[0-9]+ clock=[0-9]+ "
+               "waits: \\(0,0\\)=0(.|\n)*rank 1 state=[0-9]+ clock=[0-9]+ "
+               "waits: \\(1,0\\)=0");
 }
 
 TEST(SimWorld, StepLimitStopsRun) {
