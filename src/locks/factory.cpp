@@ -106,8 +106,11 @@ std::unique_ptr<RwLock> make_rw(Backend b, rma::World& world, Rank home) {
   switch (b) {
     case Backend::kFompiRw:
       return std::make_unique<FompiRw>(world, resolve_home(home));
-    case Backend::kRmaRw:
-      return std::make_unique<RmaRw>(world);
+    case Backend::kRmaRw: {
+      RmaRwParams params = RmaRwParams::defaults(world.topology());
+      params.home = resolve_home(home);
+      return std::make_unique<RmaRw>(world, std::move(params));
+    }
     default:
       return nullptr;
   }

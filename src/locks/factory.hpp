@@ -8,10 +8,12 @@
 // constructors that accept an optional home rank.
 //
 // Home semantics: the centralized protocols (foMPI-Spin, foMPI-RW) host
-// their single lock word on `home`; D-MCS hosts its tail pointer there.
-// The hierarchical locks (RMA-MCS, DTree, RMA-RW) place their state across
-// the machine's representative ranks by construction — their placement *is*
-// the topology — so `home` is ignored for them.
+// their single lock word on `home`; D-MCS hosts its tail pointer there;
+// the lease backends host their lease word there. RMA-RW keeps one counter
+// per T_DC group and puts it at offset home mod T_DC inside every group
+// (RmaRwParams::home). The queue trees of RMA-MCS, DTree and RMA-RW sit on
+// the machine's representative ranks by construction — their placement
+// *is* the topology — so `home` does not move them.
 #pragma once
 
 #include <memory>

@@ -7,9 +7,13 @@ namespace rmalock::locks {
 RmaRw::RmaRw(rma::World& world, RmaRwParams params)
     : tree_(world),
       params_(std::move(params)),
-      counter_hosts_(world.topology().counter_hosts(params_.tdc)),
+      counter_hosts_(
+          world.topology().counter_hosts(params_.tdc, params_.home)),
       arrive_(world.allocate(1)),
       depart_(world.allocate(1)) {
+  RMALOCK_CHECK_MSG(params_.home >= 0 && params_.home < world.nprocs(),
+                    "RmaRwParams::home=" << params_.home << " outside [0, "
+                                         << world.nprocs() << ")");
   RMALOCK_CHECK_MSG(params_.locality.size() ==
                         static_cast<usize>(tree_.num_levels()),
                     "RmaRwParams::locality needs one threshold per level");
@@ -48,15 +52,16 @@ bool RmaRw::drain_readers(rma::RmaComm& comm, Nanos deadline_ns,
   // §4.1: after changing all counters the writer "checks each counter
   // again for active readers" — wait until every reader that slipped in
   // before the flag has left the CS (ARRIVE - flag == DEPART; back-offs
-  // cancel their own arrivals).
+  // cancel their own arrivals). Each poll reads the pair with two pipelined
+  // gets completed by one flush: one round trip, not two.
   for (const Rank host : counter_hosts_) {
     for (u32 polls = 1;; ++polls) {
       if (polls > max_polls ||
           (deadline_ns != kNoDeadline && comm.now_ns() >= deadline_ns)) {
         return false;
       }
-      const i64 arrived = comm.get(host, arrive_);
-      const i64 departed = comm.get(host, depart_);
+      const i64 arrived = comm.iget(host, arrive_);
+      const i64 departed = comm.iget(host, depart_);
       comm.flush(host);
       if (arrived < kWriteFlagThreshold) {
         // Defensive self-healing: the flag can only disappear through a
@@ -75,7 +80,8 @@ bool RmaRw::drain_readers(rma::RmaComm& comm, Nanos deadline_ns,
 void RmaRw::reset_counters(rma::RmaComm& comm) {
   // Pipelined, in the *original* per-host op order (read, read, clear
   // DEPART, clear ARRIVE — so recorded schedules keep replaying
-  // bit-identically over this path, see tests/mc/test_replay_compat.cpp).
+  // bit-identically over this path, see tests/mc/test_replay_compat.cpp);
+  // the two reads share one flush.
   //
   // Per counter the invariant is unchanged: DEPART is cleared *before*
   // ARRIVE drops below the flag threshold — once readers can run again, a
@@ -87,8 +93,8 @@ void RmaRw::reset_counters(rma::RmaComm& comm) {
   // overlaps with the next counter's reads and is collected by the
   // trailing flush round.
   for (const Rank host : counter_hosts_) {
-    const i64 arrived = comm.get(host, arrive_);
-    const i64 departed = comm.get(host, depart_);
+    const i64 arrived = comm.iget(host, arrive_);
+    const i64 departed = comm.iget(host, depart_);
     comm.flush(host);
     i64 sub_arrive = -departed;
     if (arrived >= kWriteFlagThreshold) {
@@ -107,8 +113,8 @@ void RmaRw::reader_reset_counter(rma::RmaComm& comm, Rank counter) {
   if (params_.paper_faithful_reader_reset) {
     // Listing 6's reset_counter verbatim — subtracts the WRITE flag if it
     // is set, which admits the mutual-exclusion race of DESIGN.md §2.5.
-    const i64 arrived = comm.get(counter, arrive_);
-    const i64 departed = comm.get(counter, depart_);
+    const i64 arrived = comm.iget(counter, arrive_);
+    const i64 departed = comm.iget(counter, depart_);
     comm.flush(counter);
     i64 sub_arrive = -departed;
     if (arrived >= kWriteFlagThreshold) sub_arrive -= kWriteFlag;

@@ -2,10 +2,11 @@
 //
 // The lock is an interplay of three distributed structures:
 //
-//   DC  (distributed counter, §3.2.1): one physical counter on every
-//       T_DC-th process, each two words — ARRIVE and DEPART — counting
-//       readers that entered/left the CS. A dedicated high bit of ARRIVE
-//       (kWriteFlag) marks WRITE mode. Readers touch only their own
+//   DC  (distributed counter, §3.2.1): one physical counter per group of
+//       T_DC consecutive processes, at offset home mod T_DC inside the
+//       group (DESIGN.md §2.7), each two words — ARRIVE and DEPART —
+//       counting readers that entered/left the CS. A dedicated high bit of
+//       ARRIVE (kWriteFlag) marks WRITE mode. Readers touch only their own
 //       counter; a writer flags *all* counters and waits for readers to
 //       drain. T_DC trades reader locality/contention against writer work.
 //
@@ -42,6 +43,12 @@ struct RmaRwParams {
   /// T_DC: processes per physical counter. The paper's recommended default
   /// is one counter per compute node (§6).
   i32 tdc = 1;
+  /// The lock's home rank: each group of T_DC processes hosts its counter
+  /// at offset home mod T_DC (Topology::counter_host). 0 is the paper's
+  /// layout, every counter on its group's lowest rank; a lock service
+  /// gives each lock its own home so many locks' counters spread over the
+  /// ranks of every group instead of piling onto the group leaders.
+  Rank home = 0;
   /// T_L,q for q = 1..N (index q-1). locality[0] is the root threshold
   /// T_L,1: the number of root-level writer passes before the lock is
   /// handed to the readers (together: T_W = ∏ T_L,q).
@@ -99,7 +106,7 @@ class RmaRw final : public RwLock {
 
   /// c(p) — the physical counter serving process p (§3.2.1).
   [[nodiscard]] Rank counter_of(Rank p) const {
-    return topo::Topology::counter_host(p, params_.tdc);
+    return tree_.topology().counter_host(p, params_.tdc, params_.home);
   }
   [[nodiscard]] const std::vector<Rank>& counter_hosts() const {
     return counter_hosts_;

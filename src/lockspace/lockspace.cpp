@@ -114,17 +114,10 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
                                         static_cast<usize>(total_slots()) *
                                         static_cast<usize>(planes()));
 
-  // Leaf-major spread: consecutive shards land on distinct leaves first
-  // (balancing per-NIC lock-word traffic across nodes), then cycle through
-  // the ranks inside each leaf.
-  const i32 leaves = topo.num_elements(topo.num_levels());
-  const i32 ppl = topo.procs_per_leaf();
   shards_.reserve(static_cast<usize>(num_shards_));
   for (i32 s = 0; s < num_shards_; ++s) {
     auto shard = std::make_unique<Shard>();
-    const i32 leaf = s % leaves;
-    const i32 index_in_leaf = (s / leaves) % ppl;
-    shard->home = leaf * ppl + index_in_leaf;
+    shard->home = home_of_slot(s, /*slot=*/0, /*plane=*/0);
     shards_.push_back(std::move(shard));
   }
 
@@ -180,18 +173,19 @@ Rank LockSpace::home_of_shard(i32 shard) const {
   return shards_[static_cast<usize>(shard)]->home;
 }
 
-Rank LockSpace::home_of_shard_at(i32 shard, i32 plane) const {
+Rank LockSpace::home_of_slot(i32 shard, i32 slot, i32 plane) const {
   RMALOCK_CHECK(plane >= 0 && plane < planes());
-  // Same leaf-major spread as construction, with the leaf rotated by the
-  // migration epoch: each rehome moves the shard to the next leaf, which
-  // is by construction a different node whenever the machine has more
-  // than one.
+  // Leaf-major spread: consecutive shards land on distinct leaves first
+  // (balancing per-NIC lock-word traffic across nodes), then cycle through
+  // the ranks inside each leaf. The migration epoch rotates the leaf, so
+  // each rehome moves the shard to the next leaf, by construction a
+  // different node whenever the machine has more than one. Slot j sits j
+  // ranks past the shard home, wrapping inside the leaf.
   const topo::Topology& topo = world_.topology();
   const i32 leaves = topo.num_elements(topo.num_levels());
   const i32 ppl = topo.procs_per_leaf();
   const i32 leaf = (shard % leaves + plane) % leaves;
-  const i32 index_in_leaf = (shard / leaves) % ppl;
-  return leaf * ppl + index_in_leaf;
+  return leaf * ppl + ((shard / leaves) % ppl + slot) % ppl;
 }
 
 std::vector<u64> LockSpace::distinct_slot_keys(i32 count) const {
@@ -209,10 +203,9 @@ std::vector<u64> LockSpace::distinct_slot_keys(i32 count) const {
   return keys;
 }
 
-void LockSpace::instantiate_slot(i32 shard_index, u32 global_slot,
-                                 i32 plane) {
-  Slot& slot = slots_[slot_index(plane, global_slot)];
-  const Rank home = home_of_shard_at(shard_index, plane);
+void LockSpace::instantiate_slot(const LockRef& ref, i32 plane) {
+  Slot& slot = slots_[slot_index(plane, ref.global_slot)];
+  const Rank home = home_of_slot(ref.shard, ref.slot, plane);
   SlotArena arena(world_, slot.arena_base, words_per_slot_);
   if (rw_capable()) {
     std::unique_ptr<locks::RwLock> rw =
@@ -242,7 +235,7 @@ LockSpace::Slot& LockSpace::ensure_slot(const LockRef& ref, i32 plane) {
   Shard& shard = *shards_[static_cast<usize>(ref.shard)];
   const std::lock_guard<std::mutex> guard(shard.init_mutex);
   if (!slot.ready.load(std::memory_order_relaxed)) {
-    instantiate_slot(ref.shard, ref.global_slot, plane);
+    instantiate_slot(ref, plane);
   }
   return slot;
 }
@@ -354,8 +347,9 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
   const LockRef ref = resolve(key);
   Shard& shard = *shards_[static_cast<usize>(ref.shard)];
   if (shard.quarantined.load(std::memory_order_acquire)) {
-    // Fail fast: the health score says this shard's home is gray. The
-    // caller gets its deadline budget back instead of burning it.
+    // Fail fast: the health score says the ranks hosting this shard's
+    // slots are gray. The caller gets its deadline budget back instead of
+    // burning it.
     return locks::AcquireResult{locks::AcquireStatus::kDegraded, 0};
   }
   u32 attempts = 0;

@@ -14,11 +14,17 @@
 //   lookup RPC). This is the placement style of the paper's DHT (§5.3) and
 //   of ALock's per-key handle tables.
 // * Topology-aware homing: shards are spread across the machine's leaf
-//   elements round-robin (leaf-major), and each shard's home rank hosts the
-//   hot word of centralized backends (foMPI-Spin/RW lock word, D-MCS tail).
-//   Hierarchical backends (RMA-MCS, DTree, RMA-RW) already distribute
-//   their state over representative ranks — their placement *is* the
-//   topology — so homing only determines the shard's accounting identity.
+//   elements round-robin (leaf-major), and inside its shard's leaf every
+//   slot gets its own home: slot j sits j ranks past the shard home,
+//   wrapping within the leaf. The slot home hosts the hot word of
+//   centralized backends (foMPI-Spin/RW lock word, D-MCS tail, lease word)
+//   and sets where RMA-RW puts its counters: offset (slot home mod T_DC)
+//   inside every T_DC group, so the slots of a shard spread their reader
+//   traffic over distinct ranks of each node instead of piling onto the
+//   node leaders. The queue trees (RMA-MCS, DTree, RMA-RW writers) stay on
+//   the representative ranks. The shard home keeps the shard's identity:
+//   LockRef::home, the payload and version words, quarantine and
+//   re-homing are per shard.
 // * Striping: two keys that collide on (shard, slot) share a physical lock.
 //   Mutual exclusion per key is preserved (the shared lock is simply
 //   coarser); cross-key concurrency is what slots_per_shard buys.
@@ -63,7 +69,7 @@ struct LockSpaceConfig {
   /// Payload words per slot published through the versioned read path
   /// (optimistic_read / write_payload / locked_read). 0 = no versioned
   /// data area; the optimistic API is then unavailable. The payload arena
-  /// (1 version word + payload_words data words per slot, on the slot's
+  /// (1 version word + payload_words data words per slot, on the shard's
   /// home rank) is reserved separately from the lock arena, so backend
   /// footprints are unaffected.
   i32 payload_words = 0;
@@ -75,7 +81,10 @@ struct LockSpaceConfig {
   /// Graceful degradation: consecutive try_acquire_for timeouts on a shard
   /// before the shard is quarantined (0 = never). A quarantined shard
   /// fails fast with AcquireStatus::kDegraded instead of burning the
-  /// caller's deadline against a home rank the fault model says is gray.
+  /// caller's deadline against ranks the fault model says are gray. The
+  /// score covers all the leaf ranks that host the shard's slots
+  /// (home_of_slot), and a success on any slot clears it, so one gray slot
+  /// home among healthy ones may never trip the quarantine.
   i32 quarantine_after = 0;
   /// Epoch-stamped re-homing: number of successor placements (slot planes)
   /// pre-reserved beyond the original one, so a gray shard can be migrated
@@ -124,6 +133,12 @@ class LockSpace {
   /// Home rank of shard s: shards spread leaf-major across the machine.
   [[nodiscard]] Rank home_of_shard(i32 shard) const;
 
+  /// Home rank of slot `slot` (within shard `shard`) at migration epoch
+  /// `plane` (0 = original placement): `slot` ranks past the shard's home
+  /// at that epoch, wrapping inside the home's leaf. Slot 0 at plane 0 is
+  /// home_of_shard. The slot's backend instance is built with it.
+  [[nodiscard]] Rank home_of_slot(i32 shard, i32 slot, i32 plane) const;
+
   /// First `count` keys (scanning upward from 0) that resolve to pairwise
   /// distinct slots — the keys tests and MC campaigns use so "different
   /// keys" provably means "different physical locks". Requires
@@ -142,12 +157,13 @@ class LockSpace {
   void release_read(rma::RmaComm& comm, u64 key);
 
   // --- deadlines, health, re-homing ----------------------------------------
-  // The gray-failure story: a straggling or partitioned shard home makes
-  // blocking acquires arbitrarily slow without ever tripping the crash
-  // detector. try_acquire_for bounds each attempt by the caller's deadline;
-  // repeated timeouts score the shard's health and eventually quarantine it
-  // (fail-fast kDegraded); an operator — or a bench policy — then migrates
-  // the shard to a healthy successor home with rehome_shard.
+  // The gray-failure story: a straggling or partitioned rank that homes a
+  // shard's slots makes blocking acquires arbitrarily slow without ever
+  // tripping the crash detector. try_acquire_for bounds each attempt by the
+  // caller's deadline; repeated timeouts score the shard's health (one
+  // score for the leaf ranks that host its slots) and eventually
+  // quarantine it (fail-fast kDegraded); an operator — or a bench policy —
+  // then migrates the shard to a healthy successor leaf with rehome_shard.
 
   /// Deadline-bounded exclusive acquire (write path on RW backends).
   /// `deadline_ns` is absolute virtual time, as in ExclusiveLock. On
@@ -173,8 +189,6 @@ class LockSpace {
   /// Clears the shard's timeout score and lifts its quarantine (operator
   /// action after a rehome or a repaired network).
   void reset_shard_health(i32 shard);
-  /// Home rank of `shard` at migration epoch `plane` (plane 0 = original).
-  [[nodiscard]] Rank home_of_shard_at(i32 shard, i32 plane) const;
 
   // --- versioned payload (optimistic reads) --------------------------------
   // Per-slot version word bumped odd/even around every write-side critical
@@ -316,8 +330,9 @@ class LockSpace {
     std::mutex init_mutex;  // serializes first-touch construction
     std::atomic<u64> write_acquires{0};
     std::atomic<u64> read_acquires{0};
-    // Health score: cumulative and consecutive timed-acquire timeouts.
-    // consec resets on every success; crossing quarantine_after trips the
+    // Health score of the leaf ranks hosting this shard's slots: cumulative
+    // and consecutive timed-acquire timeouts over all its slots. consec
+    // resets on a success on any slot; crossing quarantine_after trips the
     // quarantine latch (cleared only by reset_shard_health).
     std::atomic<u64> timeouts{0};
     std::atomic<i32> consec_timeouts{0};
@@ -343,10 +358,10 @@ class LockSpace {
   /// the pre-reserved migration successors.
   Slot& ensure_slot(const LockRef& ref, i32 plane);
 
-  /// Builds the (plane, global_slot) instance from its pre-reserved arena
-  /// range. Callers hold the shard's init_mutex (or are the collective
-  /// constructor).
-  void instantiate_slot(i32 shard_index, u32 global_slot, i32 plane);
+  /// Builds the (plane, ref.global_slot) instance from its pre-reserved
+  /// arena range, homed at home_of_slot. Callers hold the shard's
+  /// init_mutex.
+  void instantiate_slot(const LockRef& ref, i32 plane);
 
   [[nodiscard]] bool rehoming() const { return config_.rehome_epochs > 0; }
   [[nodiscard]] i32 planes() const { return config_.rehome_epochs + 1; }
@@ -370,7 +385,7 @@ class LockSpace {
   void record_success(i32 shard);
 
   /// Window offset of slot `global_slot`'s version word (payload words
-  /// follow it) on the slot's home rank.
+  /// follow it) on the shard's home rank.
   [[nodiscard]] WinOffset version_offset(u32 global_slot) const {
     return payload_base_ +
            static_cast<WinOffset>(static_cast<usize>(global_slot) *

@@ -11,16 +11,18 @@
 //
 // Memory semantics: operations are applied atomically and become visible in
 // a sequentially consistent order. MPI-3 additionally requires a Flush
-// before *reading* returned values; the lock listings always flush
-// immediately after value-returning calls, so the stronger model here
-// changes no protocol behaviour. Flush remains a completion/cost point.
+// before *reading* returned values; here the value of a blocking call is
+// usable on return, a stronger model under which every MPI-correct
+// protocol behaves the same. Flush remains a completion/cost point.
 //
-// Nonblocking issue: iput/iaccumulate are the pipelined variants of
-// put/accumulate (MPI-3 request-based RMA, foMPI's nonblocking puts). Their
-// effects are applied at issue like every other op, but their latency is
-// charged at the next flush(target) as max(completion times) — overlapped
-// issues to C targets cost ~1 round trip + C injection slots instead of C
-// round trips. Ordering guarantees: (1) a nonblocking op carries release
+// Nonblocking issue: iput/iaccumulate/iget are the pipelined variants of
+// put/accumulate/get (MPI-3 request-based RMA, foMPI's nonblocking puts).
+// Their effects are applied (and an iget's word read) at issue like every
+// other op, but their latency is charged at the next flush(target) as
+// max(completion times) — overlapped issues to C targets cost ~1 round
+// trip + C injection slots instead of C round trips, and two igets at one
+// target completed by one flush cost one round trip instead of two.
+// Ordering guarantees: (1) an iput/iaccumulate carries release
 // ordering — everything the issuer wrote before it is visible to any
 // process that observes its effect (lock handoffs may publish flags
 // directly with iput); (2) effects are visible to other processes no later
@@ -114,6 +116,13 @@ class RmaComm {
   /// the next flush(target).
   virtual void iaccumulate(i64 oprd, Rank target, WinOffset offset,
                            AccumOp op) = 0;
+
+  /// Pipelined get (MPI-3's request-based Get): returns the word as it is at
+  /// issue; the round trip is charged by the next flush(target), so reads
+  /// of several words at one target completed by one flush cost ~1 round
+  /// trip. The caller must flush(target) before acting on the value, as
+  /// MPI requires.
+  virtual i64 iget(Rank target, WinOffset offset) = 0;
 
   // --- deadline-aware single attempts --------------------------------------
   // Gray-failure plumbing: the blocking ops above spin forever with

@@ -12,22 +12,22 @@
 //
 // Costs are indexed by *distance class* (see op_stats.hpp): 0 = self,
 // 1 = same leaf/compute node, ..., N = crosses the top level. A blocking op
-// charges its full end-to-end latency at issue time (protocol code always
-// issues Flush immediately after an op whose effect it needs, so folding
-// completion into the op keeps virtual time faithful while making Flush
-// cheap). `occupancy` is the time the op holds a NIC; concurrent ops to one
-// rank queue behind each other in the target's NIC, which is how contention
-// emerges.
+// charges its full end-to-end latency at issue time: the caller waits for
+// it, so folding completion into the op keeps virtual time faithful while
+// making Flush cheap. `occupancy` is the time the op holds a NIC;
+// concurrent ops to one rank queue behind each other in the target's NIC,
+// which is how contention emerges.
 //
-// Nonblocking (pipelined) issue charges the cost in two halves: at issue
-// the origin pays only its own injection slot — modeled as the op's
-// occupancy, since origin and target NICs serve at the same rate — while
-// the request travels (cost/2), queues in the target NIC (occupancy), and
-// completes; the next flush(target) advances the origin to
-// max(clock + flush_ns, completion + cost/2) — flush_ns is absorbed
-// whenever the acknowledgement (completion + return trip) dominates.
-// C overlapped puts to C distinct targets therefore cost
-// ~1 RTT + C * occupancy instead of C RTTs (docs/PERF.md derives this).
+// Nonblocking (pipelined) issue — iput, iaccumulate and iget — charges the
+// cost in two halves: at issue the origin pays only its own injection slot
+// — modeled as the op's occupancy, since origin and target NICs serve at
+// the same rate — while the request travels (cost/2), queues in the target
+// NIC (occupancy), and completes; the next flush(target) advances the
+// origin to max(clock + flush_ns, completion + cost/2) — flush_ns is
+// absorbed whenever the acknowledgement (completion + return trip)
+// dominates. C overlapped puts to C distinct targets therefore cost
+// ~1 RTT + C * occupancy instead of C RTTs, and two igets at one target
+// ~1 RTT + 2 * occupancy instead of 2 RTTs (docs/PERF.md derives this).
 //
 // Default magnitudes are calibrated to published Cray XC30 / Aries numbers
 // (foMPI paper, Fig. 5-7: inter-node put/get ~1 µs, remote atomics ~2 µs,

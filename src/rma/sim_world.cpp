@@ -49,6 +49,10 @@ class SimComm final : public RmaComm {
     world_.execute_op(rank_, OpKind::kAccumulate, target, offset, oprd, 0, op,
                       IssueMode::kNonblocking);
   }
+  i64 iget(Rank target, WinOffset offset) override {
+    return world_.execute_op(rank_, OpKind::kGet, target, offset, 0, 0,
+                             AccumOp::kSum, IssueMode::kNonblocking);
+  }
   i64 get(Rank target, WinOffset offset) override {
     return world_.execute_op(rank_, OpKind::kGet, target, offset, 0, 0,
                              AccumOp::kSum);

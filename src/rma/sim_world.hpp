@@ -25,11 +25,12 @@
 //                      shrinking, and bounded-exhaustive exploration.
 //   * Flush is not a scheduling point: it changes no shared state, so
 //     skipping its yield halves engine steps without losing interleavings.
-//   * Nonblocking issue (iput/iaccumulate) applies its effect at issue —
-//     same engine path, same scheduling point, same visibility as the
-//     blocking op — but charges the origin only its NIC injection slot;
-//     the round trip is charged by the next flush(target) as
-//     max(completion times) of the ops pending there. A flush whose
+//   * Nonblocking issue (iput/iaccumulate/iget) applies its effect, or
+//     reads its word, at issue — same engine path, same scheduling point,
+//     same visibility and parking as the blocking op — but charges the
+//     origin only its NIC injection slot; the round trip is charged by the
+//     next flush(target) as max(completion times) of the ops pending
+//     there. A flush whose
 //     settlement jumps the clock yields under kVirtualTime (so procs keep
 //     booking NIC slots in arrival order) but never under list policies:
 //     converting a lock from put to iput changes *costs* only, and kReplay

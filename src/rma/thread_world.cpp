@@ -66,6 +66,11 @@ class ThreadComm final : public RmaComm {
     return value;
   }
 
+  // Threads have no round trip to overlap: a pipelined read is a read.
+  i64 iget(Rank target, WinOffset offset) override {
+    return get(target, offset);
+  }
+
   void accumulate(i64 oprd, Rank target, WinOffset offset,
                   AccumOp op) override {
     fetch_op(OpKind::kAccumulate, oprd, target, offset, op,

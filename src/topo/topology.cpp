@@ -52,10 +52,12 @@ Topology Topology::discover(i32 default_nprocs) {
   return uniform({}, default_nprocs);
 }
 
-std::vector<Rank> Topology::counter_hosts(i32 tdc) const {
+std::vector<Rank> Topology::counter_hosts(i32 tdc, Rank home) const {
   RMALOCK_CHECK_MSG(tdc >= 1, "T_DC=" << tdc << " must be >= 1");
   std::vector<Rank> hosts;
-  for (Rank r = 0; r < nprocs_; r += tdc) hosts.push_back(r);
+  for (Rank r = 0; r < nprocs_; r += tdc) {
+    hosts.push_back(counter_host(r, tdc, home));
+  }
   return hosts;
 }
 

@@ -16,6 +16,7 @@
 // Element ids are 0-based and global per level: j ∈ {0, ..., N_i - 1}.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,18 +111,24 @@ class Topology {
     return common_level(a, b) == num_levels();
   }
 
-  /// c(p) for the distributed counter (§3.2.1): with threshold T_DC, one
-  /// physical counter lives on every T_DC-th process and p uses the counter
-  /// of its group: c(p) = ⌊p / T_DC⌋ · T_DC (0-based version of the paper's
-  /// ⌈p/T_DC⌉ placement). T_DC = k · procs_per_leaf puts one counter on
+  /// c(p) for the distributed counter (§3.2.1): with threshold T_DC, the
+  /// processes form groups of T_DC consecutive ranks, each group holds one
+  /// physical counter, and p uses the counter of its group. The lock's
+  /// `home` picks the counter's rank inside every group: offset
+  /// home mod T_DC, clamped into a partial last group. With home 0 this is
+  /// c(p) = ⌊p / T_DC⌋ · T_DC (0-based version of the paper's ⌈p/T_DC⌉
+  /// placement); distinct homes spread many locks' counters over distinct
+  /// ranks of each group. T_DC = k · procs_per_leaf puts one counter on
   /// every k-th node, which is the topology-aware placement the paper
   /// recommends.
-  [[nodiscard]] static Rank counter_host(Rank p, i32 tdc) {
-    return (p / tdc) * tdc;
+  [[nodiscard]] Rank counter_host(Rank p, i32 tdc, Rank home) const {
+    const Rank first = (p / tdc) * tdc;
+    return std::min(first + home % tdc, nprocs_ - 1);
   }
 
-  /// All counter-hosting ranks for threshold tdc (every T_DC-th process).
-  [[nodiscard]] std::vector<Rank> counter_hosts(i32 tdc) const;
+  /// All counter-hosting ranks for threshold tdc and lock home `home`, one
+  /// per group in rank order.
+  [[nodiscard]] std::vector<Rank> counter_hosts(i32 tdc, Rank home) const;
 
   /// Human-readable description, e.g. "N=3 [machine x 2 racks x 4 nodes],
   /// 16 procs/node, P=128".

@@ -313,6 +313,40 @@ TEST(RmaRw, TopologyAwareCountersKeepReaderTrafficLocal) {
   EXPECT_GT(world2->aggregate_stats().total_at_least(2), 0u);
 }
 
+TEST(RmaRw, WithoutAHomeEveryWordKeepsThePaperLayout) {
+  // Built without a home, RMA-RW lays its words out as the paper does: the
+  // tree's NEXT/STATUS/TAIL per level, then ARRIVE and DEPART, with every
+  // group's counter on its lowest rank (c(p) = ⌊p / T_DC⌋ · T_DC).
+  const auto topo = topo::Topology::nodes(4, 4);
+  auto world = make_sim(topo);
+  RmaRw lock(*world);  // defaults: T_DC = 4, home 0
+  EXPECT_EQ(lock.params().home, 0);
+  const DistributedTree& tree = lock.tree();
+  for (i32 q = 1; q <= topo.num_levels(); ++q) {
+    EXPECT_EQ(tree.next_offset(q), 3 * (q - 1));
+    EXPECT_EQ(tree.status_offset(q), 3 * (q - 1) + 1);
+    EXPECT_EQ(tree.tail_offset(q), 3 * (q - 1) + 2);
+  }
+  EXPECT_EQ(lock.arrive_offset(), 3 * topo.num_levels());
+  EXPECT_EQ(lock.depart_offset(), 3 * topo.num_levels() + 1);
+  EXPECT_EQ(world->window_words(),
+            static_cast<usize>(3 * topo.num_levels() + 2));
+  EXPECT_EQ(lock.counter_hosts(), (std::vector<Rank>{0, 4, 8, 12}));
+  for (Rank p = 0; p < topo.nprocs(); ++p) {
+    EXPECT_EQ(lock.counter_of(p), p / 4 * 4);
+  }
+  // A reader on rank 6 arrives and departs on its group leader, rank 4.
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() != 6) return;
+    lock.acquire_read(comm);
+    lock.release_read(comm);
+  });
+  for (Rank r = 0; r < topo.nprocs(); ++r) {
+    EXPECT_EQ(world->read_word(r, lock.arrive_offset()), r == 4 ? 1 : 0);
+    EXPECT_EQ(world->read_word(r, lock.depart_offset()), r == 4 ? 1 : 0);
+  }
+}
+
 TEST(RmaRw, UncontendedReaderPathIsCheap) {
   // One reader acquire+release = FAO(+1) + Accumulate(+1) and flushes.
   const auto topo = topo::Topology::nodes(2, 2);
@@ -369,44 +403,117 @@ Nanos blocking_flag_broadcast_ns(const rma::LatencyModel& m,
   return clock;
 }
 
-/// Virtual time rank 1 spends in set_counters_to_write on a C-node machine
-/// (2 procs/node, T_DC = 2: one counter per node; every other rank idle).
-Nanos measured_flag_broadcast_ns(i32 nodes) {
+/// Reading one idle remote counter's ARRIVE/DEPART pair and flushing. With
+/// iget the second read departs one injection slot after the first, queues
+/// behind it in the target NIC, and the flush settles both acks; with get
+/// each read pays its own round trip.
+Nanos counter_read_ns(const rma::LatencyModel& m, i32 d, bool pipelined) {
+  const auto du = static_cast<usize>(d);
+  const Nanos cost = m.rma_ns[du];
+  const Nanos occ = m.rma_occupancy_ns[du];
+  if (!pipelined) return 2 * (cost + occ) + m.flush_ns;
+  return std::max(2 * occ + m.flush_ns, cost + 2 * occ);
+}
+
+/// drain_readers over flagged counters that no reader holds: one read per
+/// counter.
+Nanos expected_drain_ns(const rma::LatencyModel& m,
+                        const std::vector<i32>& dclasses, bool pipelined) {
+  Nanos clock = 0;
+  for (const i32 d : dclasses) clock += counter_read_ns(m, d, pipelined);
+  return clock;
+}
+
+/// reset_counters: per counter, read the pair, clear DEPART and flush, then
+/// issue the ARRIVE clear, whose ack the trailing flush round collects.
+Nanos expected_reset_ns(const rma::LatencyModel& m,
+                        const std::vector<i32>& dclasses, bool pipelined) {
+  Nanos clock = 0;
+  std::vector<Nanos> acks;
+  for (const i32 d : dclasses) {
+    const auto du = static_cast<usize>(d);
+    const Nanos cost = m.atomic_ns[du];
+    const Nanos occ = m.atomic_occupancy_ns[du];
+    clock += counter_read_ns(m, d, pipelined);
+    clock = std::max(clock + occ + m.flush_ns, clock + cost + occ);
+    acks.push_back(clock + cost + occ);
+    clock += occ;
+  }
+  for (const Nanos ack : acks) clock = std::max(clock + m.flush_ns, ack);
+  return clock;
+}
+
+/// Counter hosts as seen from rank 1 of measured_mode_switch: its own
+/// node's host (class 1) plus C-1 remote nodes' hosts (class 2).
+std::vector<i32> counter_dclasses(i32 nodes) {
+  std::vector<i32> d(static_cast<usize>(nodes), 2);
+  d[0] = 1;
+  return d;
+}
+
+/// Virtual time rank 1 spends in each writer mode-switch step on a C-node
+/// machine (2 procs/node, T_DC = 2: one counter per node; every other rank
+/// idle, so every counter is flagged and drained without readers).
+struct ModeSwitchCost {
+  Nanos flag = 0;
+  Nanos drain = 0;
+  Nanos reset = 0;
+};
+
+ModeSwitchCost measured_mode_switch(i32 nodes) {
   auto world = test::make_sim_xc30(topo::Topology::uniform({nodes}, 2));
   RmaRw lock(*world, make_params(world->topology(), /*tdc=*/2, /*tl=*/16,
                                  /*tr=*/1000));
-  Nanos elapsed = 0;
+  ModeSwitchCost cost;
   world->run([&](rma::RmaComm& comm) {
     if (comm.rank() != 1) return;  // rank 1: hosts no counter itself
     const Nanos t0 = comm.now_ns();
     lock.set_counters_to_write(comm);
-    elapsed = comm.now_ns() - t0;
+    const Nanos t1 = comm.now_ns();
+    EXPECT_TRUE(lock.drain_readers(comm));
+    const Nanos t2 = comm.now_ns();
+    lock.reset_counters(comm);
+    cost = {t1 - t0, t2 - t1, comm.now_ns() - t2};
   });
-  return elapsed;
+  return cost;
 }
 
 TEST(RmaRw, WriterModeSwitchCostIsPipelined) {
   const rma::LatencyModel m = rma::LatencyModel::xc30(2);
-  // Counter hosts as seen from rank 1: its own node's host (class 1) plus
-  // C-1 remote nodes' hosts (class 2).
-  const auto dclasses = [](i32 nodes) {
-    std::vector<i32> d(static_cast<usize>(nodes), 2);
-    d[0] = 1;
-    return d;
-  };
-  const Nanos cost4 = measured_flag_broadcast_ns(4);
-  const Nanos cost8 = measured_flag_broadcast_ns(8);
-  EXPECT_EQ(cost4, expected_flag_broadcast_ns(m, dclasses(4)))
+  const Nanos cost4 = measured_mode_switch(4).flag;
+  const Nanos cost8 = measured_mode_switch(8).flag;
+  EXPECT_EQ(cost4, expected_flag_broadcast_ns(m, counter_dclasses(4)))
       << "C=4 cost must match the latency-model arithmetic";
-  EXPECT_EQ(cost8, expected_flag_broadcast_ns(m, dclasses(8)))
+  EXPECT_EQ(cost8, expected_flag_broadcast_ns(m, counter_dclasses(8)))
       << "C=8 cost must match the latency-model arithmetic";
   // Sublinear: each extra counter adds ~one injection slot + flush, not a
   // round trip.
   EXPECT_LE(cost8 - cost4,
             4 * (m.atomic_occupancy_ns[2] + m.flush_ns) + 100);
   // And the absolute win over the serialized pre-pipelining shape.
-  EXPECT_LT(cost8 * 2, blocking_flag_broadcast_ns(m, dclasses(8)))
+  EXPECT_LT(cost8 * 2, blocking_flag_broadcast_ns(m, counter_dclasses(8)))
       << "pipelined broadcast must beat serialized round trips by >2x";
+}
+
+TEST(RmaRw, CounterSweepsPipelineTheirReads) {
+  // drain_readers and reset_counters read each counter's ARRIVE/DEPART
+  // pair with two igets and one flush: one round trip per counter where
+  // the blocking get pair pays two.
+  const rma::LatencyModel m = rma::LatencyModel::xc30(2);
+  for (const i32 nodes : {4, 8}) {
+    const std::vector<i32> d = counter_dclasses(nodes);
+    const ModeSwitchCost cost = measured_mode_switch(nodes);
+    EXPECT_EQ(cost.drain, expected_drain_ns(m, d, true))
+        << "C=" << nodes << " drain must match the latency-model arithmetic";
+    EXPECT_EQ(cost.reset, expected_reset_ns(m, d, true))
+        << "C=" << nodes << " reset must match the latency-model arithmetic";
+    Nanos round_trips = 0;
+    for (const i32 c : d) round_trips += m.rma_ns[static_cast<usize>(c)];
+    EXPECT_GE(expected_drain_ns(m, d, false) - cost.drain, round_trips)
+        << "C=" << nodes << " drain must save a round trip per counter";
+    EXPECT_GE(expected_reset_ns(m, d, false) - cost.reset, round_trips)
+        << "C=" << nodes << " reset must save a round trip per counter";
+  }
 }
 
 TEST(RmaRwDeathTest, RejectsBadParams) {

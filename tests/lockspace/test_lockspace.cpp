@@ -72,6 +72,68 @@ TEST(LockSpaceDirectory, HomesSpreadLeafMajorAcrossNodes) {
   EXPECT_EQ(space.home_of_shard(3), 12);
   EXPECT_EQ(space.home_of_shard(4), 1);
   EXPECT_EQ(space.home_of_shard(5), 5);
+  // Slot j sits j ranks past its shard's home, wrapping inside the leaf:
+  // shard 4 (home 1, leaf 0 = ranks 0..3) cycles 1, 2, 3, 0, 1, ...
+  EXPECT_EQ(space.home_of_slot(4, 0, 0), 1);
+  EXPECT_EQ(space.home_of_slot(4, 2, 0), 3);
+  EXPECT_EQ(space.home_of_slot(4, 3, 0), 0);
+  EXPECT_EQ(space.home_of_slot(4, 5, 0), 2);
+  EXPECT_EQ(space.home_of_slot(5, 3, 0), 4);  // shard 5: home 5, leaf 4..7
+}
+
+TEST(LockSpaceDirectory, SlotHomesSpreadInsideTheShardLeaf) {
+  // 2 nodes x 16 procs, one shard per node, 16 slots per shard: the slots
+  // of a shard get 16 distinct homes, all inside the shard's leaf.
+  auto world =
+      rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 16)));
+  lockspace::LockSpaceConfig config;  // rma-rw, 16 slots per shard
+  lockspace::LockSpace space(*world, config);
+  ASSERT_EQ(space.shards(), 2);
+  for (i32 shard = 0; shard < space.shards(); ++shard) {
+    const Rank leaf_first = space.home_of_shard(shard);
+    std::set<Rank> homes;
+    for (i32 slot = 0; slot < space.slots_per_shard(); ++slot) {
+      const Rank home = space.home_of_slot(shard, slot, 0);
+      EXPECT_GE(home, leaf_first);
+      EXPECT_LT(home, leaf_first + 16);
+      homes.insert(home);
+    }
+    EXPECT_EQ(homes.size(), 16u) << "shard " << shard;
+  }
+
+  // An RMA-RW slot's counters follow its home: with T_DC = 16, slot j of
+  // shard 0 (home j) keeps node 1's counter on rank 16 + j. So rank 16 + j
+  // reads slot j's key without leaving its own window, and slot j+1's key
+  // (counter on its neighbour) with intra-node ops.
+  std::vector<u64> key_of_slot(16);
+  std::vector<bool> found(16, false);
+  for (u64 key = 0; std::count(found.begin(), found.end(), true) < 16;
+       ++key) {
+    const lockspace::LockRef ref = space.resolve(key);
+    if (ref.shard != 0 || found[static_cast<usize>(ref.slot)]) continue;
+    key_of_slot[static_cast<usize>(ref.slot)] = key;
+    found[static_cast<usize>(ref.slot)] = true;
+  }
+  std::vector<u64> own_remote(32, 0);
+  std::vector<u64> next_remote(32, 0);
+  world->run([&](rma::RmaComm& comm) {
+    const Rank me = comm.rank();
+    if (me < 16) return;
+    const auto remote_ops = [&comm] { return comm.stats().total_at_least(1); };
+    const auto j = static_cast<usize>(me - 16);
+    const u64 before = remote_ops();
+    space.acquire_read(comm, key_of_slot[j]);
+    space.release_read(comm, key_of_slot[j]);
+    const u64 between = remote_ops();
+    space.acquire_read(comm, key_of_slot[(j + 1) % 16]);
+    space.release_read(comm, key_of_slot[(j + 1) % 16]);
+    own_remote[static_cast<usize>(me)] = between - before;
+    next_remote[static_cast<usize>(me)] = remote_ops() - between;
+  });
+  for (Rank r = 16; r < 32; ++r) {
+    EXPECT_EQ(own_remote[static_cast<usize>(r)], 0u) << "rank " << r;
+    EXPECT_GT(next_remote[static_cast<usize>(r)], 0u) << "rank " << r;
+  }
 }
 
 /// Window words one instance of `backend` allocates on an n-level machine:

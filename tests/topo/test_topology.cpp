@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 namespace rmalock::topo {
 namespace {
@@ -97,39 +99,69 @@ TEST(Topology, ElementOfIsConsistentWithRankRange) {
 }
 
 TEST(Topology, CounterHostFormula) {
-  // §3.2.1: c(p) = ⌊p / T_DC⌋ · T_DC.
-  EXPECT_EQ(Topology::counter_host(0, 4), 0);
-  EXPECT_EQ(Topology::counter_host(3, 4), 0);
-  EXPECT_EQ(Topology::counter_host(4, 4), 4);
-  EXPECT_EQ(Topology::counter_host(11, 4), 8);
-  EXPECT_EQ(Topology::counter_host(7, 1), 7);  // one counter per process
+  const Topology t = Topology::nodes(4, 8);  // 32 procs
+  // Home 0 is §3.2.1's placement: c(p) = ⌊p / T_DC⌋ · T_DC.
+  EXPECT_EQ(t.counter_host(0, 4, 0), 0);
+  EXPECT_EQ(t.counter_host(3, 4, 0), 0);
+  EXPECT_EQ(t.counter_host(4, 4, 0), 4);
+  EXPECT_EQ(t.counter_host(11, 4, 0), 8);
+  EXPECT_EQ(t.counter_host(7, 1, 0), 7);  // one counter per process
+  // Home h puts the counter at offset h mod T_DC inside every group.
+  EXPECT_EQ(t.counter_host(0, 4, 3), 3);
+  EXPECT_EQ(t.counter_host(3, 4, 3), 3);
+  EXPECT_EQ(t.counter_host(11, 4, 5), 9);    // 5 mod 4 = 1, group [8, 12)
+  EXPECT_EQ(t.counter_host(7, 1, 6), 7);     // T_DC = 1: always p itself
+  EXPECT_EQ(t.counter_host(20, 8, 13), 21);  // 13 mod 8 = 5, group [16, 24)
+  // T_DC = 3: ten full groups and the partial group {30, 31}, where an
+  // offset past the group's end clamps to its last rank.
+  EXPECT_EQ(t.counter_host(31, 3, 0), 30);
+  EXPECT_EQ(t.counter_host(31, 3, 1), 31);
+  EXPECT_EQ(t.counter_host(30, 3, 2), 31);
+  EXPECT_EQ(t.counter_host(29, 3, 2), 29);  // full groups are unaffected
 }
 
 TEST(Topology, CounterHostsEveryTdcThProcess) {
   const Topology t = Topology::nodes(4, 8);  // 32 procs
-  const auto hosts = t.counter_hosts(8);     // one per node
+  const auto hosts = t.counter_hosts(8, 0);  // one per node
   ASSERT_EQ(hosts.size(), 4u);
   EXPECT_EQ(hosts[0], 0);
   EXPECT_EQ(hosts[1], 8);
   EXPECT_EQ(hosts[3], 24);
   // T_DC = 2*ppn: every second node (paper's topology-aware placement).
-  const auto sparse = t.counter_hosts(16);
+  const auto sparse = t.counter_hosts(16, 0);
   ASSERT_EQ(sparse.size(), 2u);
   EXPECT_EQ(sparse[1], 16);
+  // A home rotates the host inside every group by the same offset.
+  EXPECT_EQ(t.counter_hosts(8, 3), (std::vector<Rank>{3, 11, 19, 27}));
+  EXPECT_EQ(t.counter_hosts(16, 21), (std::vector<Rank>{5, 21}));
+  // T_DC = 3, home 2: the partial last group {30, 31} clamps to 31.
+  const auto clamped = t.counter_hosts(3, 2);
+  ASSERT_EQ(clamped.size(), 11u);
+  EXPECT_EQ(clamped[9], 29);
+  EXPECT_EQ(clamped[10], 31);
 }
 
 TEST(Topology, CounterHostCoversAllProcs) {
   const Topology t = Topology::nodes(4, 8);
   for (const i32 tdc : {1, 2, 3, 8, 16, 32}) {
-    const auto hosts = t.counter_hosts(tdc);
-    for (Rank p = 0; p < t.nprocs(); ++p) {
-      const Rank c = Topology::counter_host(p, tdc);
-      EXPECT_LE(c, p);
-      EXPECT_GT(c + tdc, p);
-      // The host is one of the enumerated counters.
-      EXPECT_EQ(c % tdc, 0);
+    for (const Rank home : {0, 1, 2, 7, 31}) {
+      const auto hosts = t.counter_hosts(tdc, home);
+      for (Rank p = 0; p < t.nprocs(); ++p) {
+        const Rank c = t.counter_host(p, tdc, home);
+        SCOPED_TRACE(testing::Message()
+                     << "tdc=" << tdc << " home=" << home << " p=" << p);
+        // Home 0 is the paper's group-leader placement.
+        if (home == 0) {
+          EXPECT_EQ(c % tdc, 0);
+        }
+        // Offset home mod T_DC inside p's group, clamped to the last rank.
+        EXPECT_EQ(c, std::min(p / tdc * tdc + home % tdc, t.nprocs() - 1));
+        // The host is in p's own group and is one of the enumerated
+        // counters.
+        EXPECT_EQ(c / tdc, p / tdc);
+        EXPECT_NE(std::find(hosts.begin(), hosts.end(), c), hosts.end());
+      }
     }
-    (void)hosts;
   }
 }
 
