@@ -23,7 +23,6 @@ harness::BenchResult run_with_model(
   MicrobenchConfig config;
   config.workload = Workload::kEcsb;
   config.ops_per_proc = env.ops_for(p, 8000);
-  config.record_op_stats = true;
   return harness::run_exclusive_bench(*world, *lock, config);
 }
 

@@ -28,7 +28,7 @@
 //
 // P stays small ({2,4,8} instead of the global sweep): a timed claimant
 // cannot park on the lease word (an abandoned holder never writes it), so
-// waiters burn a probe op every probe_ns — aggregate probe cost scales
+// waiters burn a probe op every kProbeNs — aggregate probe cost scales
 // with P x wait time, and the drift hazard is pairwise anyway.
 //
 // Campaign parallelism: --jobs N measures sweep points on the TaskPool;
@@ -85,7 +85,7 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
                                         i32 acquires_total) {
   auto world = rma::SimWorld::create(mix_options(env, p, mix));
 
-  locks::TimedLeaseParams lease_params;  // duration 40 us, probe 2 us
+  locks::TimedLeaseParams lease_params;
   lease_params.safety_margin_ns = margin_ns;
   std::unique_ptr<locks::TimedLease> timed;
   std::unique_ptr<locks::LeaseExclusive> suspicion;
@@ -105,7 +105,7 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
   space_config.skip_token_check = mode == Mode::kTimed;
   lockspace::LockSpace space(*world, space_config);
 
-  const Nanos duration = lease_params.duration_ns;
+  const Nanos duration = locks::TimedLease::kDurationNs;
   const i32 ops = std::max(6, acquires_total / p);
   std::vector<std::vector<double>> lat(static_cast<usize>(p));
   std::vector<Nanos> end_ns(static_cast<usize>(p), 0);
@@ -131,7 +131,7 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
       // Hold to the edge of the belief window: check still_valid, age the
       // belief a quarter duration, THEN write — the check-then-act pattern
       // every real lease client has, so a round's last write lands AT the
-      // belief boundary. With honest clocks the claimant's reclaim_grace_ns
+      // belief boundary. With honest clocks the claimant's kReclaimGraceNs
       // covers that in-flight final write; a drift-slow clock stretches the
       // same local schedule past the grace in real time — the stale writes
       // the fencing token must reject. The suspicion baseline has no

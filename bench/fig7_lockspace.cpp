@@ -212,7 +212,6 @@ int main(int argc, char** argv) {
       workload::WorkloadConfig wc = base_workload(env, p, kServiceKeys, 0.99,
                                                   /*read_fraction=*/0.95);
       wc.arrival = workload::Arrival::kOpen;
-      wc.poisson_arrivals = true;
       wc.interarrival_ns = 4000;
       return measure_sim_point(env, p, "open-loop", sharded_rw, wc);
     }});

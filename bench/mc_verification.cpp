@@ -151,7 +151,7 @@ mc::LockSpaceFactory rehome_space(bool skip_fence) {
 }
 
 /// Wall-clock timed lease over a payload-capable one-slot space: grants are
-/// valid for duration_ns on the holder's clock, reclaimed after duration_ns
+/// valid for kDurationNs on the holder's clock, reclaimed after kDurationNs
 /// + safety_margin_ns on the claimant's clock, and every write carries the
 /// grant epoch as a fencing token that write_payload_fenced validates. Two
 /// planted bugs: no `margin` trusts the local clocks outright (safe under
@@ -570,7 +570,7 @@ std::vector<Campaign> randomized_campaigns(bool quick, bool smoke) {
   //
   // The margined, token-fenced lease must stay clean: no belief overlap, no
   // stale-token commit. The planted zero-margin bug (the claimant reclaims
-  // right at duration_ns, so a drift-slow holder still believes) must be
+  // right at kDurationNs, so a drift-slow holder still believes) must be
   // caught while fencing, still ON, admits zero stale-token commits; its
   // drift-blind control must be clean — under perfect clocks the reclaim
   // can only land at-or-after the holder's belief expires, which is exactly

@@ -1,14 +1,32 @@
 #include "harness/bench_common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "harness/task_pool.hpp"
 
 namespace rmalock::harness {
+
+namespace {
+
+/// `text` as one whole integer of type T; aborts naming `var` when any
+/// character is left over or the value does not fit.
+template <typename T>
+T parse_env_int(const char* var, std::string_view text) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  RMALOCK_CHECK_MSG(ec == std::errc() && end == text.data() + text.size(),
+                    var << "=\"" << text << "\" is not an integer");
+  return value;
+}
+
+}  // namespace
 
 BenchEnv BenchEnv::from_env() {
   BenchEnv env;
@@ -24,22 +42,22 @@ BenchEnv BenchEnv::from_env() {
     env.ps = {16, 32};  // minimal sweep; an explicit RMALOCK_PS still wins
   }
   if (const char* seed = std::getenv("RMALOCK_SEED")) {
-    env.seed = std::strtoull(seed, nullptr, 10);
+    env.seed = parse_env_int<u64>("RMALOCK_SEED", seed);
   }
   if (const char* jobs = std::getenv("RMALOCK_JOBS")) {
-    env.jobs = static_cast<i32>(std::strtol(jobs, nullptr, 10));
+    env.jobs = parse_env_int<i32>("RMALOCK_JOBS", jobs);
   }
   if (const char* ps = std::getenv("RMALOCK_PS")) {
     env.ps.clear();
-    const char* cursor = ps;
-    while (*cursor != '\0') {
-      char* end = nullptr;
-      const long value = std::strtol(cursor, &end, 10);
-      if (end == cursor) break;
-      env.ps.push_back(static_cast<i32>(value));
-      cursor = (*end == ',') ? end + 1 : end;
+    std::string_view rest = ps;
+    for (;;) {
+      const usize comma = rest.find(',');
+      const i32 p = parse_env_int<i32>("RMALOCK_PS", rest.substr(0, comma));
+      RMALOCK_CHECK_MSG(p > 0, "RMALOCK_PS=\"" << ps << "\" has P <= 0");
+      env.ps.push_back(p);
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
-    RMALOCK_CHECK_MSG(!env.ps.empty(), "bad RMALOCK_PS");
   }
   return env;
 }

@@ -15,6 +15,8 @@
 //   RMALOCK_JOBS   campaign worker threads (default 1 = sequential;
 //                  0 = all hardware threads) — see docs/PERF.md,
 //                  "Parallel campaigns"
+// A numeric value that does not parse completely, or a P <= 0, aborts with
+// a message naming the variable.
 //
 // Bench mains call apply_bench_cli(argc, argv) first, which maps the
 // --smoke / --quick / --jobs flags onto these knobs.

@@ -4,56 +4,44 @@
 #include <functional>
 
 #include "common/check.hpp"
+#include "harness/phases.hpp"
 
 namespace rmalock::harness {
 
 namespace {
+
+/// Every participant targets rank 0's local volume.
+constexpr Rank kVolumeOwner = 0;
+/// Values are drawn uniformly from [1, kKeyRange].
+constexpr u64 kKeyRange = u64{1} << 16;
 
 /// Returns true iff the op was an insert that was dropped (heap full).
 using DhtOp = std::function<bool(rma::RmaComm&, bool insert, i64 value)>;
 
 DhtBenchResult run_dht_impl(rma::World& world, const DhtBenchConfig& config,
                             const DhtOp& op) {
-  RMALOCK_CHECK(config.ops_per_proc >= 1);
   const i32 nprocs = world.nprocs();
   RMALOCK_CHECK_MSG(nprocs >= 2, "DHT benchmark needs P >= 2");
-  const i32 warmup_ops = static_cast<i32>(
-      std::ceil(config.warmup_fraction * config.ops_per_proc));
-  std::vector<Nanos> t0(static_cast<usize>(nprocs));
-  std::vector<Nanos> t1(static_cast<usize>(nprocs));
   std::vector<u64> drops(static_cast<usize>(nprocs), 0);  // measured phase
   const u64 insert_permille =
       static_cast<u64>(std::lround(config.fw * 1000.0));
 
-  const rma::RunResult run = world.run([&](rma::RmaComm& comm) {
-    const bool participant = comm.rank() != config.volume_owner;
-    auto one_op = [&] {
-      const bool insert = comm.rng().chance(insert_permille, 1000);
-      // Values are per-op random; +1 keeps the kEmpty sentinel unused.
-      const i64 value =
-          static_cast<i64>(comm.rng().below(static_cast<u64>(config.key_range))) + 1;
-      return op(comm, insert, value);
-    };
-    comm.barrier();
-    if (participant) {
-      for (i32 i = 0; i < warmup_ops; ++i) (void)one_op();
-    }
-    comm.barrier();
-    t0[static_cast<usize>(comm.rank())] = comm.now_ns();
-    if (participant) {
-      for (i32 i = 0; i < config.ops_per_proc; ++i) {
-        if (one_op()) ++drops[static_cast<usize>(comm.rank())];
-      }
-    }
-    comm.barrier();
-    t1[static_cast<usize>(comm.rank())] = comm.now_ns();
-  });
-  RMALOCK_CHECK_MSG(run.ok(), "DHT benchmark run failed");
+  const PhaseResult phases = run_phases(
+      world, config.ops_per_proc, /*duration_ns=*/0,
+      [&](rma::RmaComm& comm, i32 /*i*/, bool measured) {
+        if (comm.rank() == kVolumeOwner) return;  // hosts the volume only
+        const bool insert = comm.rng().chance(insert_permille, 1000);
+        // Values are per-op random; +1 keeps the kEmpty sentinel unused.
+        const i64 value = static_cast<i64>(comm.rng().below(kKeyRange)) + 1;
+        if (op(comm, insert, value) && measured) {
+          ++drops[static_cast<usize>(comm.rank())];
+        }
+      });
 
   DhtBenchResult result;
   result.total_ops = static_cast<u64>(nprocs - 1) *
                      static_cast<u64>(config.ops_per_proc);
-  result.elapsed_ns = t1[0] - t0[0];
+  result.elapsed_ns = phases.elapsed_ns;
   for (const u64 d : drops) result.dropped_inserts += d;
   return result;
 }
@@ -65,13 +53,12 @@ DhtBenchResult run_dht_atomics_bench(rma::World& world,
                                      const DhtBenchConfig& config) {
   return run_dht_impl(
       world, config,
-      [&table, owner = config.volume_owner](rma::RmaComm& comm, bool insert,
-                                            i64 value) {
+      [&table](rma::RmaComm& comm, bool insert, i64 value) {
         if (insert) {
-          return table.insert_atomic(comm, owner, value) ==
+          return table.insert_atomic(comm, kVolumeOwner, value) ==
                  dht::InsertStatus::kHeapFull;
         }
-        (void)table.contains_atomic(comm, owner, value);
+        (void)table.contains_atomic(comm, kVolumeOwner, value);
         return false;
       });
 }
@@ -82,17 +69,16 @@ DhtBenchResult run_dht_lockspace_bench(rma::World& world,
                                        const DhtBenchConfig& config) {
   return run_dht_impl(
       world, config,
-      [&table, &space, owner = config.volume_owner](rma::RmaComm& comm,
-                                                    bool insert, i64 value) {
-        const u64 key = static_cast<u64>(owner);  // one named lock per volume
+      [&table, &space](rma::RmaComm& comm, bool insert, i64 value) {
+        const u64 key = static_cast<u64>(kVolumeOwner);  // lock per volume
         if (insert) {
           space.acquire(comm, key);
-          const auto status = table.insert_locked(comm, owner, value);
+          const auto status = table.insert_locked(comm, kVolumeOwner, value);
           space.release(comm, key);
           return status == dht::InsertStatus::kHeapFull;
         }
         space.acquire_read(comm, key);
-        (void)table.contains_locked(comm, owner, value);
+        (void)table.contains_locked(comm, kVolumeOwner, value);
         space.release_read(comm, key);
         return false;
       });
@@ -104,16 +90,15 @@ DhtBenchResult run_dht_locked_bench(rma::World& world,
                                     const DhtBenchConfig& config) {
   return run_dht_impl(
       world, config,
-      [&table, &lock, owner = config.volume_owner](rma::RmaComm& comm,
-                                                   bool insert, i64 value) {
+      [&table, &lock](rma::RmaComm& comm, bool insert, i64 value) {
         if (insert) {
           lock.acquire_write(comm);
-          const auto status = table.insert_locked(comm, owner, value);
+          const auto status = table.insert_locked(comm, kVolumeOwner, value);
           lock.release_write(comm);
           return status == dht::InsertStatus::kHeapFull;
         }
         lock.acquire_read(comm);
-        (void)table.contains_locked(comm, owner, value);
+        (void)table.contains_locked(comm, kVolumeOwner, value);
         lock.release_read(comm);
         return false;
       });

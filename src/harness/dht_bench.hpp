@@ -1,8 +1,8 @@
 // DHT case-study benchmark (§5.3, Fig. 6).
 //
-// P-1 processes hammer the local volume of one selected process with a mix
-// of inserts and reads on random elements; the figure of merit is the total
-// (virtual) time to complete all operations. Three synchronization
+// Ranks 1..P-1 hammer the local volume of rank 0 with a mix of inserts and
+// reads on random elements; the figure of merit is the total (virtual) time
+// to complete all operations. Three synchronization
 // regimes, matching the paper's comparison:
 //
 //   kAtomics  "foMPI-A"  — lock-free CAS/FAO protocol, no lock;
@@ -22,11 +22,6 @@ struct DhtBenchConfig {
   i32 ops_per_proc = 30;
   /// Probability that an operation is an insert, F_W; the rest are reads.
   double fw = 0.05;
-  /// Rank whose local volume is targeted by everyone.
-  Rank volume_owner = 0;
-  /// Values are drawn uniformly from [0, key_range).
-  i64 key_range = 1 << 16;
-  double warmup_fraction = 0.1;
 };
 
 struct DhtBenchResult {

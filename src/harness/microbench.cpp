@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
+#include "harness/phases.hpp"
 
 namespace rmalock::harness {
 
@@ -26,10 +26,6 @@ namespace {
 struct PerProc {
   std::vector<double> reader_latencies_us;
   std::vector<double> writer_latencies_us;
-  Nanos t0 = 0;
-  Nanos t1 = 0;
-  rma::OpStats before;
-  rma::OpStats after;
 };
 
 /// Work inside the critical section, per workload.
@@ -77,86 +73,53 @@ template <typename RoleFn, typename AcquireFn, typename ReleaseFn>
 BenchResult run_bench_impl(rma::World& world, const MicrobenchConfig& config,
                            const RoleFn& role_of_op, const AcquireFn& acquire,
                            const ReleaseFn& release) {
-  const bool duration_mode = config.duration_ns > 0;
-  RMALOCK_CHECK(duration_mode || config.ops_per_proc >= 1);
   const i32 nprocs = world.nprocs();
   const Rank data_rank = 0;
   const WinOffset data = world.allocate(1);
   world.write_word(data_rank, data, 0);
 
   std::vector<PerProc> per(static_cast<usize>(nprocs));
-  const i32 warmup_ops = static_cast<i32>(
-      std::ceil(config.warmup_fraction * config.ops_per_proc));
-  const Nanos warmup_ns = static_cast<Nanos>(
-      config.warmup_fraction * static_cast<double>(config.duration_ns));
-
-  const rma::RunResult run = world.run([&](rma::RmaComm& comm) {
-    PerProc& me = per[static_cast<usize>(comm.rank())];
-
-    const auto one_op = [&](bool measured) {
-      const bool writer = role_of_op(comm);
-      const Nanos start = comm.now_ns();
-      acquire(comm, writer);
-      cs_work(comm, config.workload, writer, data_rank, data);
-      release(comm, writer);
-      const Nanos end = comm.now_ns();
-      if (measured) {
-        auto& bucket = writer ? me.writer_latencies_us : me.reader_latencies_us;
-        bucket.push_back(static_cast<double>(end - start) / 1e3);
-      }
-      post_release_work(comm, config.workload);
-    };
-
-    comm.barrier();
-    if (duration_mode) {  // warmup slice, discarded (§5)
-      const Nanos warmup_end = comm.now_ns() + warmup_ns;
-      while (comm.now_ns() < warmup_end) one_op(/*measured=*/false);
-    } else {
-      for (i32 i = 0; i < warmup_ops; ++i) one_op(/*measured=*/false);
-    }
-    comm.barrier();
-    if (config.record_op_stats) me.before = comm.stats();
-    me.t0 = comm.now_ns();
-    if (duration_mode) {
-      const Nanos deadline = me.t0 + config.duration_ns;
-      while (comm.now_ns() < deadline) one_op(/*measured=*/true);
-    } else {
-      for (i32 i = 0; i < config.ops_per_proc; ++i) one_op(/*measured=*/true);
-    }
-    comm.barrier();  // synchronizes clocks: t1 is the phase makespan
-    me.t1 = comm.now_ns();
-    if (config.record_op_stats) me.after = comm.stats();
-  });
-  RMALOCK_CHECK_MSG(run.ok(), "benchmark run failed (deadlock/step limit)");
+  PhaseResult phases = run_phases(
+      world, config.ops_per_proc, config.duration_ns,
+      [&](rma::RmaComm& comm, i32 /*i*/, bool measured) {
+        const bool writer = role_of_op(comm);
+        const Nanos start = comm.now_ns();
+        acquire(comm, writer);
+        cs_work(comm, config.workload, writer, data_rank, data);
+        release(comm, writer);
+        const Nanos end = comm.now_ns();
+        if (measured) {
+          PerProc& me = per[static_cast<usize>(comm.rank())];
+          auto& bucket =
+              writer ? me.writer_latencies_us : me.reader_latencies_us;
+          bucket.push_back(static_cast<double>(end - start) / 1e3);
+        }
+        post_release_work(comm, config.workload);
+      });
 
   BenchResult result;
   std::vector<double> all;
   std::vector<double> readers;
   std::vector<double> writers;
-  result.op_stats = rma::OpStats(world.topology().num_levels());
-  for (Rank r = 0; r < nprocs; ++r) {
-    PerProc& proc = per[static_cast<usize>(r)];
+  for (const PerProc& proc : per) {
     readers.insert(readers.end(), proc.reader_latencies_us.begin(),
                    proc.reader_latencies_us.end());
     writers.insert(writers.end(), proc.writer_latencies_us.begin(),
                    proc.writer_latencies_us.end());
-    if (config.record_op_stats) {
-      proc.after -= proc.before;
-      result.op_stats += proc.after;
-    }
   }
   all.reserve(readers.size() + writers.size());
   all.insert(all.end(), readers.begin(), readers.end());
   all.insert(all.end(), writers.begin(), writers.end());
 
   result.total_acquires = all.size();
-  result.elapsed_ns = per[0].t1 - per[0].t0;
+  result.elapsed_ns = phases.elapsed_ns;
   result.throughput_mlocks_s = static_cast<double>(result.total_acquires) /
                                static_cast<double>(result.elapsed_ns) * 1e3;
   result.num_writers = static_cast<i64>(writers.size());
   result.latency_us = summarize(std::move(all));
   result.reader_latency_us = summarize(std::move(readers));
   result.writer_latency_us = summarize(std::move(writers));
+  result.op_stats = std::move(phases.op_stats);
   return result;
 }
 

@@ -12,10 +12,7 @@
 //   WARB  wait-after-release: empty CS, 1-4 µs pause between operations —
 //         varies lock contention.
 //
-// Methodology follows §5: the first 10% of operations are a discarded
-// warmup; latency is the arithmetic mean over all recorded operations;
-// throughput is total acquires divided by the (virtual) time of the
-// measured phase, which is bracketed by barriers.
+// Every run follows the §5 methodology of harness/phases.hpp.
 #pragma once
 
 #include "harness/stats.hpp"
@@ -48,14 +45,9 @@ struct MicrobenchConfig {
   /// by the total time", §5) — with mixed roles this is essential, since
   /// slow writer cycles must cost *throughput*, not stretch the run.
   Nanos duration_ns = 0;
-  /// Fraction of additional warmup (§5 discards the first 10%): extra ops
-  /// in fixed-ops mode, leading time slice in duration mode.
-  double warmup_fraction = 0.1;
   /// F_W — fraction of writers (see RoleMode for the interpretation).
   double fw = 1.0;
   RoleMode role_mode = RoleMode::kStaticRanks;
-  /// Collect the RMA op statistics of the measured phase (ablations).
-  bool record_op_stats = false;
 };
 
 struct BenchResult {

@@ -7,10 +7,7 @@ namespace rmalock::locks {
 TimedLease::TimedLease(rma::World& world, TimedLeaseParams params)
     : params_(params), grants_(static_cast<usize>(world.nprocs())) {
   RMALOCK_CHECK(params_.home >= 0 && params_.home < world.nprocs());
-  RMALOCK_CHECK(params_.duration_ns > 0);
   RMALOCK_CHECK(params_.safety_margin_ns >= 0);
-  RMALOCK_CHECK(params_.probe_ns > 0);
-  RMALOCK_CHECK(params_.reclaim_grace_ns >= 0);
   RMALOCK_CHECK_MSG(world.nprocs() < (1 << LeaseExclusive::kOwnerBits) - 1,
                     "lease owner field holds ranks up to "
                         << ((1 << LeaseExclusive::kOwnerBits) - 2)
@@ -46,9 +43,8 @@ i64 TimedLease::acquire_token(rma::RmaComm& comm) {
     // negative — which only delays the reclaim, never hastens it.
     const bool expired_here =
         owner != kNilRank && owner != me &&
-        comm.local_now_ns() - observed_at >= params_.duration_ns +
-                                                 params_.reclaim_grace_ns +
-                                                 params_.safety_margin_ns;
+        comm.local_now_ns() - observed_at >=
+            kDurationNs + kReclaimGraceNs + params_.safety_margin_ns;
     if (owner == kNilRank || owner == me || expired_here) {
       // Free take, our own stale grant (a restarted holder re-acquiring),
       // or a hold that expired on our clock. Every grant bumps the epoch —
@@ -68,9 +64,9 @@ i64 TimedLease::acquire_token(rma::RmaComm& comm) {
       observed_at = comm.local_now_ns();
       continue;
     }
-    // Held and not yet expired on our clock: burn probe_ns locally, then
+    // Held and not yet expired on our clock: burn kProbeNs locally, then
     // re-probe. The compute keeps virtual time moving toward expiry.
-    comm.compute(params_.probe_ns);
+    comm.compute(kProbeNs);
     const i64 word = probe(comm);
     if (word != observed) {
       observed = word;
@@ -97,7 +93,7 @@ void TimedLease::release(rma::RmaComm& comm) {
 
 bool TimedLease::still_valid(rma::RmaComm& comm) const {
   const Grant& my = grants_[static_cast<usize>(comm.rank())];
-  return comm.local_now_ns() - my.granted_at < params_.duration_ns;
+  return comm.local_now_ns() - my.granted_at < kDurationNs;
 }
 
 i64 TimedLease::lease_word(const rma::World& world) const {

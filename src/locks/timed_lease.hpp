@@ -2,9 +2,9 @@
 //
 // LeaseExclusive recovers crashed owners through the failure detector
 // (RmaComm::suspected). Real deployments often have no detector at all and
-// instead bound ownership by *time*: a grant is valid for `duration_ns` on
+// instead bound ownership by *time*: a grant is valid for `kDurationNs` on
 // the holder's clock, and a claimant may reclaim the lease once it has
-// watched the same hold for `duration_ns + safety_margin_ns` on its *own*
+// watched the same hold for `kDurationNs + safety_margin_ns` on its *own*
 // clock. That protocol is only as safe as the clocks: a paused or
 // drift-slow holder still believes its lease valid while a drift-fast
 // claimant has already reclaimed it — the classic distributed-lease hazard
@@ -53,14 +53,18 @@ namespace rmalock::locks {
 struct TimedLeaseParams {
   /// Rank hosting the lease word.
   Rank home = 0;
-  /// Lease validity on the *holder's* clock, from the grant.
-  Nanos duration_ns = 40'000;
-  /// Extra time beyond duration_ns a claimant must observe an unchanged
+  /// Extra time beyond kDurationNs a claimant must observe an unchanged
   /// hold (on its *own* clock) before reclaiming. 0 plants the
   /// trust-the-clocks bug for model-checking true positives.
   Nanos safety_margin_ns = 40'000;
+};
+
+class TimedLease final : public ExclusiveLock {
+ public:
+  /// Lease validity on the *holder's* clock, from the grant.
+  static constexpr Nanos kDurationNs = 40'000;
   /// Local compute between expiry probes of a waiting claimant.
-  Nanos probe_ns = 2'000;
+  static constexpr Nanos kProbeNs = 2'000;
   /// Fixed real-time allowance for the holder's in-flight last write: a
   /// well-behaved client checks still_valid and THEN writes, so its final
   /// write can land up to one op-pipeline past its belief boundary even
@@ -69,11 +73,8 @@ struct TimedLeaseParams {
   /// compensates clock error (and margin = 0 is the planted trusts-the-
   /// clocks bug), while this grace covers network/op latency that exists
   /// even when every clock is true.
-  Nanos reclaim_grace_ns = 5'000;
-};
+  static constexpr Nanos kReclaimGraceNs = 5'000;
 
-class TimedLease final : public ExclusiveLock {
- public:
   /// Collective: allocates and initializes the lease word.
   TimedLease(rma::World& world, TimedLeaseParams params);
 
@@ -87,7 +88,7 @@ class TimedLease final : public ExclusiveLock {
   [[nodiscard]] i64 acquire_token(rma::RmaComm& comm);
 
   /// Purely local validity check — no RMA, no yields, no decision points:
-  /// true iff this process's latest grant is still inside duration_ns on
+  /// true iff this process's latest grant is still inside kDurationNs on
   /// its own (possibly drifting) clock. This is the holder's *belief*, not
   /// ground truth; believing a stale lease valid is exactly the state the
   /// fencing token defends against.

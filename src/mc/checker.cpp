@@ -370,12 +370,12 @@ Workload drift_workload(DriftLeaseFactory factory) {
     RMALOCK_CHECK_MSG(subject.space->optimistic_capable(),
                       "drift workload needs payload_words > 0");
     const usize payload = static_cast<usize>(subject.space->payload_words());
-    const Nanos duration = subject.lease->params().duration_ns;
+    const Nanos duration = locks::TimedLease::kDurationNs;
     const Nanos margin = subject.lease->params().safety_margin_ns;
     // Pace the hold so the last write lands AT the belief boundary: each
     // round checks still_valid, ages the belief by a quarter duration, THEN
     // writes — the check-then-act pattern every real lease client has. With
-    // honest clocks the claimant's reclaim_grace_ns covers that in-flight
+    // honest clocks the claimant's kReclaimGraceNs covers that in-flight
     // final write; a drift-slow clock stretches the same local schedule past
     // the grace in real time, and THOSE are the stale writes the fencing
     // token exists to reject.

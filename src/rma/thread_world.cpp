@@ -25,25 +25,21 @@ class ThreadComm final : public RmaComm {
   }
 
   void put(i64 src_data, Rank target, WinOffset offset) override {
-    store(src_data, target, offset, std::memory_order_seq_cst);
+    store(src_data, target, offset);
   }
 
-  // Nonblocking issue: release-ordered per-word atomics. Release (not
-  // relaxed) because converted lock paths publish handoff/release flags
-  // through these ops — the holder's preceding CS writes must be ordered
-  // before the flag lands, even when no flush intervenes (FompiSpin::
-  // release, FompiRw::release_write). They stay cheaper than the seq_cst
-  // blocking ops: no acquire side and no total-order participation; the
-  // fence in flush() remains the full completion/ordering point the
-  // iput/iaccumulate contract documents.
+  // Threads have no round trip to overlap: a nonblocking op is its blocking
+  // op, complete (and seq_cst-ordered) when it returns. Converted lock paths
+  // publish handoff/release flags through iput/iaccumulate (FompiSpin::
+  // release, FompiRw::release_write), so the holder's preceding CS writes
+  // are ordered before the flag lands even when no flush intervenes.
   void iput(i64 src_data, Rank target, WinOffset offset) override {
-    store(src_data, target, offset, std::memory_order_release);
+    store(src_data, target, offset);
   }
 
   void iaccumulate(i64 oprd, Rank target, WinOffset offset,
                    AccumOp op) override {
-    fetch_op(OpKind::kAccumulate, oprd, target, offset, op,
-             std::memory_order_release);
+    fetch_op(OpKind::kAccumulate, oprd, target, offset, op);
   }
 
   i64 get(Rank target, WinOffset offset) override {
@@ -66,20 +62,17 @@ class ThreadComm final : public RmaComm {
     return value;
   }
 
-  // Threads have no round trip to overlap: a pipelined read is a read.
   i64 iget(Rank target, WinOffset offset) override {
     return get(target, offset);
   }
 
   void accumulate(i64 oprd, Rank target, WinOffset offset,
                   AccumOp op) override {
-    fetch_op(OpKind::kAccumulate, oprd, target, offset, op,
-             std::memory_order_seq_cst);
+    fetch_op(OpKind::kAccumulate, oprd, target, offset, op);
   }
 
   i64 fao(i64 oprd, Rank target, WinOffset offset, AccumOp op) override {
-    return fetch_op(OpKind::kFao, oprd, target, offset, op,
-                    std::memory_order_seq_cst);
+    return fetch_op(OpKind::kFao, oprd, target, offset, op);
   }
 
   i64 cas(i64 src_data, i64 cmp_data, Rank target, WinOffset offset) override {
@@ -92,35 +85,32 @@ class ThreadComm final : public RmaComm {
     return expected;  // holds the previous value on failure, cmp on success
   }
 
-  // Ranged read: per-word relaxed loads plus one trailing acquire fence —
-  // the real-hardware analogue of the torn multi-word RMA read (words may
-  // interleave with concurrent writers; callers must validate).
+  // Ranged read: per-word acquire loads — the real-hardware analogue of
+  // the torn multi-word RMA read (words may interleave with concurrent
+  // writers; callers must validate).
   //
   // Ordering audit (the read-path sweep): the preceding version read is an
-  // acquire-or-stronger load, so the relaxed payload loads cannot be hoisted
-  // above it; the acquire fence afterwards keeps them ordered *before* the
-  // validating version re-read — without the fence that load could be
-  // reordered ahead of a payload word and certify a torn observation. The
-  // blocking get() stays seq_cst (lock handoffs poll single words and rely
-  // on its acquire side), and read_word/write_word stay seq_cst (out-of-run
+  // acquire-or-stronger load, so the payload loads cannot be hoisted above
+  // it; each payload load's own acquire keeps the validating version
+  // re-read after it — a relaxed load could be reordered behind that
+  // re-read and certify a torn observation. Per-word acquire instead of
+  // relaxed loads plus one trailing fence, because GCC rejects
+  // std::atomic_thread_fence under -fsanitize=thread -Werror. The blocking
+  // get() stays seq_cst (lock handoffs poll single words and rely on its
+  // acquire side), and read_word/write_word stay seq_cst (out-of-run
   // inspection wants the strongest order).
   void get_vec(Rank target, WinOffset offset, i64* out, usize n) override {
     account(OpKind::kGet, target);
     for (usize i = 0; i < n; ++i) {
       out[i] = world_.word(target, offset + static_cast<WinOffset>(i))
-                   .load(std::memory_order_relaxed);
+                   .load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     note_progress();
   }
 
-  void flush(Rank target) override {
-    account(OpKind::kFlush, target);
-    // Completion point of the relaxed nonblocking issues above: the fence
-    // (at least release semantics) orders them before everything the
-    // caller publishes after the flush.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
+  // Every op above completes before it returns, so a flush has nothing
+  // left to complete or order: it only counts itself.
+  void flush(Rank target) override { account(OpKind::kFlush, target); }
 
   void compute(Nanos ns) override {
     const Nanos deadline = rmalock::now_ns() + ns;
@@ -142,20 +132,20 @@ class ThreadComm final : public RmaComm {
   }
 
   /// The body of put and iput.
-  void store(i64 value, Rank target, WinOffset offset,
-             std::memory_order order) {
+  void store(i64 value, Rank target, WinOffset offset) {
     account(OpKind::kPut, target);
-    world_.word(target, offset).store(value, order);
+    world_.word(target, offset).store(value, std::memory_order_seq_cst);
     note_progress();
   }
 
   /// The body of accumulate, iaccumulate and fao: returns the previous word.
   i64 fetch_op(OpKind kind, i64 oprd, Rank target, WinOffset offset,
-               AccumOp op, std::memory_order order) {
+               AccumOp op) {
     account(kind, target);
     auto& word = world_.word(target, offset);
-    const i64 old = (op == AccumOp::kSum) ? word.fetch_add(oprd, order)
-                                          : word.exchange(oprd, order);
+    const i64 old = (op == AccumOp::kSum)
+                        ? word.fetch_add(oprd, std::memory_order_seq_cst)
+                        : word.exchange(oprd, std::memory_order_seq_cst);
     note_progress();
     return old;
   }

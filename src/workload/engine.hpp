@@ -2,17 +2,20 @@
 //
 // Drives a lockspace::LockSpace from every process of a World with a
 // configurable request mix: key popularity (see keygen.hpp), read/write
-// ratio, think time, and arrival discipline:
+// ratio, and arrival discipline:
 //
-//   * closed loop — each process issues the next request only after the
-//     previous one completed, with an optional uniform think time between
-//     completions (the classic interactive-client model; offered load
-//     adapts to service time);
-//   * open loop — requests arrive on a schedule independent of completion
-//     (fixed-rate or Poisson); a process that falls behind works through
-//     its backlog without thinking, and each op's latency is measured from
-//     its *scheduled arrival*, so queueing delay is visible (the
-//     coordinated-omission-free convention).
+//   * closed loop — each process issues the next request as soon as the
+//     previous one completed (the classic interactive-client model; offered
+//     load adapts to service time);
+//   * open loop — requests arrive on a Poisson schedule independent of
+//     completion; a process that falls behind works through its backlog,
+//     and each op's latency is measured from its *scheduled arrival*, so
+//     queueing delay is visible (the coordinated-omission-free convention).
+//
+// Every request touches one remote word on its key's shard home inside the
+// critical section (readers get, writers put) — the SOB-style payload that
+// makes a lock service out of a lock microbench — unless the versioned
+// payload area replaces it. Runs follow the §5 phases of harness/phases.hpp.
 //
 // All randomness flows through the per-process comm.rng() stream, so runs
 // are deterministic per (world seed, config) in both worlds and SimWorld
@@ -33,29 +36,17 @@ struct WorkloadConfig {
   /// Probability that a request is a read (shared mode); the rest are
   /// writes (exclusive mode).
   double read_fraction = 0.95;
-  /// Closed loop: uniform think time in [min, max] ns between completions
-  /// (0/0 = none).
-  Nanos think_min_ns = 0;
-  Nanos think_max_ns = 0;
   Arrival arrival = Arrival::kClosed;
-  /// Open loop: inter-arrival gap per process (mean, when poisson).
+  /// Open loop: mean Poisson inter-arrival gap per process.
   Nanos interarrival_ns = 2000;
-  bool poisson_arrivals = false;
-  /// Measured requests per process; an extra warmup_fraction share runs
-  /// (and is discarded) before measurement, as in §5.
+  /// Measured requests per process, after a discarded warmup (§5).
   i32 ops_per_proc = 100;
-  double warmup_fraction = 0.1;
-  /// Touch one remote word on the key's shard home inside the CS (readers
-  /// get, writers put) — the SOB-style payload that makes a lock service
-  /// out of a lock microbench. Off = empty CS.
-  bool payload = true;
   /// Route requests through the space's versioned payload area instead of
   /// the single payload word (the space must be built with
   /// payload_words > 0): writers publish every payload word via
   /// write_payload under the write lock; readers take a consistent
   /// multi-word snapshot — locked_read by default, or the lock-free
-  /// optimistic_read when optimistic_reads is also set. `payload` is
-  /// ignored in this mode (the versioned area IS the payload).
+  /// optimistic_read when optimistic_reads is also set.
   bool versioned_payload = false;
   /// Readers use LockSpace::optimistic_read (requires versioned_payload).
   bool optimistic_reads = false;

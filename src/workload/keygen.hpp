@@ -13,8 +13,6 @@
 //     rank r has probability ∝ 1/r^s. Key id == popularity rank; the
 //     LockSpace directory hashes ids, so hot keys still spread over
 //     shards.
-//   * hotspot  — a hot set of ⌈hotspot_fraction · K⌉ keys receives
-//     hotspot_weight of the traffic; both halves are uniform inside.
 //
 // Construction is O(K) for zipfian (the zeta(K, s) prefix sum); build one
 // generator per configuration outside run() and share it const across
@@ -28,7 +26,7 @@
 
 namespace rmalock::workload {
 
-enum class KeyDist : u8 { kUniform, kZipfian, kHotspot };
+enum class KeyDist : u8 { kUniform, kZipfian };
 
 struct KeyGenConfig {
   u64 num_keys = 1 << 17;
@@ -36,10 +34,6 @@ struct KeyGenConfig {
   /// Zipf exponent s (>= 0; s == 0 degenerates to uniform). Values very
   /// close to 1 are nudged off the removable singularity of the sampler.
   double zipf_s = 0.99;
-  /// kHotspot: fraction of the key space that is hot, and the fraction of
-  /// traffic it receives.
-  double hotspot_fraction = 0.1;
-  double hotspot_weight = 0.9;
 };
 
 class KeyGenerator {
@@ -77,14 +71,6 @@ class KeyGenerator {
                     std::pow(2.0 / static_cast<double>(config_.num_keys),
                              1.0 - theta_)) /
                        eta_denom;
-    } else if (config_.dist == KeyDist::kHotspot) {
-      RMALOCK_CHECK(config_.hotspot_fraction > 0.0 &&
-                    config_.hotspot_fraction <= 1.0);
-      RMALOCK_CHECK(config_.hotspot_weight >= 0.0 &&
-                    config_.hotspot_weight <= 1.0);
-      hot_keys_ = std::max<u64>(
-          1, static_cast<u64>(std::ceil(config_.hotspot_fraction *
-                                        static_cast<double>(config_.num_keys))));
     }
   }
 
@@ -105,13 +91,6 @@ class KeyGenerator {
             std::pow(eta_ * u - eta_ + 1.0, alpha_));
         return rank >= config_.num_keys ? config_.num_keys - 1 : rank;
       }
-      case KeyDist::kHotspot: {
-        const bool hot = rng.uniform() < config_.hotspot_weight;
-        if (hot || hot_keys_ == config_.num_keys) {
-          return rng.below(hot_keys_);
-        }
-        return hot_keys_ + rng.below(config_.num_keys - hot_keys_);
-      }
     }
     return 0;
   }
@@ -120,8 +99,6 @@ class KeyGenerator {
   KeyGenConfig config_;
   // Zipfian state (Gray et al.).
   double theta_ = 0, zetan_ = 0, alpha_ = 0, eta_ = 0;
-  // Hotspot state.
-  u64 hot_keys_ = 0;
 };
 
 }  // namespace rmalock::workload

@@ -61,10 +61,11 @@ TEST(DhtBench, VolumeOwnerHostsData) {
   DhtBenchConfig config;
   config.ops_per_proc = 30;
   config.fw = 1.0;  // inserts only
-  config.volume_owner = 3;
   run_dht_atomics_bench(*world, table, config);
-  EXPECT_GT(table.snapshot(*world, 3).size(), 0u);
-  EXPECT_EQ(table.snapshot(*world, 0).size(), 0u);
+  EXPECT_GT(table.snapshot(*world, 0).size(), 0u);
+  for (Rank r = 1; r < world->nprocs(); ++r) {
+    EXPECT_EQ(table.snapshot(*world, r).size(), 0u) << "rank " << r;
+  }
 }
 
 TEST(DhtBench, ReadOnlyWorkloadStoresNothing) {
@@ -92,6 +93,22 @@ TEST(DhtBench, MoreWorkTakesMoreVirtualTime) {
   big.ops_per_proc = 40;
   const auto slow = run_dht_atomics_bench(*world_big, table_big, big);
   EXPECT_GT(slow.elapsed_ns, fast.elapsed_ns);
+}
+
+TEST(DhtBench, LockedBenchPin) {
+  // Pins the DHT phases: ranks 1..P-1 run ⌈0.1·ops⌉ warmup ops and the
+  // measured ops against rank 0's volume; rank 0 issues none.
+  auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+  dht::DistributedHashTable table(*world, bench_volume());
+  locks::RmaRw lock(*world);
+  DhtBenchConfig config;
+  config.ops_per_proc = 12;
+  config.fw = 0.25;
+  const auto result = run_dht_locked_bench(*world, table, lock, config);
+  EXPECT_EQ(result.elapsed_ns, 140010);
+  EXPECT_EQ(result.total_ops, 7u * 12u);
+  EXPECT_EQ(result.dropped_inserts, 0u);
+  EXPECT_EQ(table.snapshot(*world, 0).size(), 24u);
 }
 
 }  // namespace

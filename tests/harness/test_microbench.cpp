@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "../support/test_support.hpp"
 #include "harness/bench_common.hpp"
 #include "locks/d_mcs.hpp"
@@ -68,9 +70,8 @@ TEST(Microbench, WarmupIsDiscarded) {
   locks::DMcs lock(*world);
   MicrobenchConfig config;
   config.ops_per_proc = 10;
-  config.warmup_fraction = 0.5;
   const BenchResult result = run_exclusive_bench(*world, lock, config);
-  // Only the measured ops are recorded.
+  // Only the measured ops are recorded, not the ⌈0.1·10⌉ warmup ops.
   EXPECT_EQ(result.latency_us.n, 8u * 10u);
 }
 
@@ -131,11 +132,42 @@ TEST(Microbench, OpStatsDeltaCoversMeasuredPhaseOnly) {
   locks::DMcs lock(*world);
   MicrobenchConfig config;
   config.ops_per_proc = 10;
-  config.record_op_stats = true;
   const BenchResult result = run_exclusive_bench(*world, lock, config);
   EXPECT_GT(result.op_stats.total_ops(), 0u);
   // Every acquire FAOs the tail exactly once.
   EXPECT_EQ(result.op_stats.total(rma::OpKind::kFao), 8u * 10u);
+}
+
+TEST(Microbench, ExclusiveFixedOpsPin) {
+  // Pins the fixed-ops phase structure: one barrier, ⌈0.1·ops⌉ discarded
+  // warmup ops, a barrier, the measured ops, a closing barrier. WCSB draws
+  // from the rng stream inside the CS, so any moved op or draw shows.
+  auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+  locks::DMcs lock(*world);
+  MicrobenchConfig config;
+  config.workload = Workload::kWcsb;
+  config.ops_per_proc = 10;
+  const BenchResult result = run_exclusive_bench(*world, lock, config);
+  EXPECT_EQ(result.elapsed_ns, 351898);
+  EXPECT_EQ(result.total_acquires, 8u * 10u);
+  EXPECT_EQ(result.op_stats.total(rma::OpKind::kFao), 8u * 10u);
+  EXPECT_EQ(result.op_stats.total_ops(), 1586u);
+}
+
+TEST(Microbench, RwDurationPerOpPin) {
+  // Pins duration mode: a 0.1·duration warmup slice, then ops until the
+  // measured deadline; roles are drawn per op.
+  auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+  locks::RmaRw lock(*world);
+  MicrobenchConfig config;
+  config.workload = Workload::kSob;
+  config.duration_ns = 40'000;
+  config.fw = 0.25;
+  config.role_mode = RoleMode::kPerOp;
+  const BenchResult result = run_rw_bench(*world, lock, config);
+  EXPECT_EQ(result.elapsed_ns, 54595);
+  EXPECT_EQ(result.total_acquires, 66u);
+  EXPECT_EQ(result.num_writers, 17);
 }
 
 TEST(BenchEnv, TopologyMatchesPaperModel) {
@@ -152,6 +184,42 @@ TEST(BenchEnv, OpsForBoundsTotals) {
   EXPECT_EQ(env.ops_for(16, 16000), 1000);
   EXPECT_EQ(env.ops_for(1024, 16000), 15);
   EXPECT_EQ(env.ops_for(1024, 1000, 4), 4);  // floor at min_ops
+}
+
+TEST(BenchEnv, ParsesCompleteValues) {
+  ::setenv("RMALOCK_PS", "16,64", 1);
+  ::setenv("RMALOCK_SEED", "7", 1);
+  ::setenv("RMALOCK_JOBS", "0", 1);
+  const BenchEnv env = BenchEnv::from_env();
+  ::unsetenv("RMALOCK_PS");
+  ::unsetenv("RMALOCK_SEED");
+  ::unsetenv("RMALOCK_JOBS");
+  EXPECT_EQ(env.ps, (std::vector<i32>{16, 64}));
+  EXPECT_EQ(env.seed, 7u);
+  EXPECT_EQ(env.jobs, 0);
+}
+
+/// BenchEnv::from_env() with one variable set (inside a death-test child,
+/// so the environment change dies with it).
+void from_env_with(const char* var, const char* value) {
+  ::setenv(var, value, 1);
+  (void)BenchEnv::from_env();
+}
+
+TEST(BenchEnvDeathTest, RejectsValuesThatDoNotParseCompletely) {
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", "16,abc"), "RMALOCK_PS");
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", "16x32"), "RMALOCK_PS");
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", "16,"), "RMALOCK_PS");
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", ""), "RMALOCK_PS");
+  EXPECT_DEATH(from_env_with("RMALOCK_JOBS", "abc"), "RMALOCK_JOBS");
+  EXPECT_DEATH(from_env_with("RMALOCK_JOBS", "2x"), "RMALOCK_JOBS");
+  EXPECT_DEATH(from_env_with("RMALOCK_SEED", "abc"), "RMALOCK_SEED");
+  EXPECT_DEATH(from_env_with("RMALOCK_SEED", "-1"), "RMALOCK_SEED");
+}
+
+TEST(BenchEnvDeathTest, RejectsNonPositiveP) {
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", "16,0"), "RMALOCK_PS");
+  EXPECT_DEATH(from_env_with("RMALOCK_PS", "-16"), "RMALOCK_PS");
 }
 
 TEST(FigureReportTest, StoresAndChecks) {

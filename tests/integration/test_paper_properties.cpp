@@ -34,7 +34,6 @@ harness::BenchResult bench_exclusive(locks::ExclusiveLock* (*factory)(
   harness::MicrobenchConfig config;
   config.workload = workload;
   config.ops_per_proc = 60;
-  config.record_op_stats = true;
   return harness::run_exclusive_bench(*world, *lock, config);
 }
 

@@ -58,25 +58,23 @@ TEST(TimedLease, EveryGrantGetsAFreshToken) {
 
 TEST(TimedLease, StillValidExpiresOnTheHoldersOwnClock) {
   auto world = make_sim(topo::Topology::uniform({}, 1));
-  TimedLeaseParams params;
-  params.duration_ns = 10'000;
-  TimedLease lease(*world, params);
+  TimedLease lease(*world, {});
   bool valid_at_grant = false;
   bool valid_inside = false;
   bool valid_after = true;
   world->run([&](rma::RmaComm& comm) {
     (void)lease.acquire_token(comm);
     valid_at_grant = lease.still_valid(comm);
-    comm.compute(9'000);
+    comm.compute(TimedLease::kDurationNs - 1'000);
     valid_inside = lease.still_valid(comm);
-    comm.compute(2'000);  // 11'000 past the grant: belief must end
+    comm.compute(2'000);  // 1'000 past the duration: belief must end
     valid_after = lease.still_valid(comm);
     lease.release(comm);
   });
   EXPECT_TRUE(valid_at_grant);
   EXPECT_TRUE(valid_inside);
   EXPECT_FALSE(valid_after)
-      << "a holder believed its lease past duration_ns on its own clock";
+      << "a holder believed its lease past kDurationNs on its own clock";
 }
 
 TEST(TimedLease, ReclaimWaitsOutDurationGraceAndMargin) {
@@ -97,7 +95,7 @@ TEST(TimedLease, ReclaimWaitsOutDurationGraceAndMargin) {
       comm.put(1, 1, held);
       comm.flush(1);
       // Abandon: sit out far past every belief window without releasing.
-      comm.compute(10 * (p.duration_ns + p.safety_margin_ns));
+      comm.compute(10 * (TimedLease::kDurationNs + p.safety_margin_ns));
     } else {
       while (comm.get(1, held) == 0) comm.flush(1);
       comm.flush(1);
@@ -108,8 +106,8 @@ TEST(TimedLease, ReclaimWaitsOutDurationGraceAndMargin) {
   });
   EXPECT_EQ(thief_token, owner_token + 1)
       << "time-based reclaim did not fence the abandoned holder";
-  EXPECT_GE(waited,
-            p.duration_ns + p.reclaim_grace_ns + p.safety_margin_ns)
+  EXPECT_GE(waited, TimedLease::kDurationNs + TimedLease::kReclaimGraceNs +
+                        p.safety_margin_ns)
       << "reclaimed before the full observation window elapsed";
   const i64 word = lease.lease_word(*world);
   EXPECT_EQ(TimedLease::owner_of(word), 1);
@@ -222,7 +220,7 @@ TEST(TimedLease, NameSurfacesThePlantedNoMarginVariant) {
 TEST(TimedLease, ThreadWorldSmoke) {
   // Real threads, perfect clocks (ThreadWorld's local_now_ns is now_ns):
   // the timed lease degrades to a plain mutual-exclusion lock as long as
-  // holds stay well inside duration_ns. The counter is atomic on purpose —
+  // holds stay well inside kDurationNs. The counter is atomic on purpose —
   // the OS may preempt a holder past its belief window, and a reclaim then
   // is correct lease behavior, not a bug for this smoke to flag.
   auto world = make_threads(topo::Topology::uniform({}, 2));

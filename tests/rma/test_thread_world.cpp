@@ -47,8 +47,8 @@ TEST(ThreadWorld, GetVecReadsEveryWord) {
 }
 
 TEST(ThreadWorld, GetVecUnderConcurrentWritesSeesOnlyPublishedWords) {
-  // ThreadComm::get_vec is per-word atomic (relaxed loads + one trailing
-  // acquire fence): a concurrent writer storing whole values per word must
+  // ThreadComm::get_vec is per-word atomic (one acquire load per word, no
+  // standalone fence): a concurrent writer storing whole values per word must
   // never be observed as a from-thin-air mix — every word read is one the
   // writer actually stored. The loop shape (writer keeps rewriting, reader
   // keeps reading) is the TSan-exercised shape of the lock-free read path;

@@ -1,13 +1,14 @@
 // Workload engine tests: key-generator distribution shapes, engine
 // bookkeeping (ops, latencies, mode split), determinism across repeated
-// runs (the property the parallel campaign runtime builds on), and the
-// open-loop arrival discipline.
+// runs (the property the parallel campaign runtime builds on), the
+// open-loop arrival discipline, and pins of the §5 phases.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <map>
 
+#include "../support/test_support.hpp"
 #include "lockspace/lockspace.hpp"
 #include "rma/sim_world.hpp"
 #include "workload/engine.hpp"
@@ -69,27 +70,8 @@ TEST(KeyGenerator, ZipfianHandlesExponentOne) {
   }
 }
 
-TEST(KeyGenerator, HotspotRoutesTheConfiguredWeight) {
-  KeyGenConfig config;
-  config.num_keys = 1000;
-  config.dist = KeyDist::kHotspot;
-  config.hotspot_fraction = 0.1;  // hot set = keys 0..99
-  config.hotspot_weight = 0.9;
-  const KeyGenerator gen(config);
-  Xoshiro256 rng(11);
-  u64 hot = 0;
-  const i32 draws = 20000;
-  for (i32 i = 0; i < draws; ++i) {
-    if (gen.next(rng) < 100) ++hot;
-  }
-  const double share = static_cast<double>(hot) / draws;
-  EXPECT_GT(share, 0.85);
-  EXPECT_LT(share, 0.95);
-}
-
 TEST(KeyGenerator, SingleKeySpaceAlwaysReturnsZero) {
-  for (const KeyDist dist :
-       {KeyDist::kUniform, KeyDist::kZipfian, KeyDist::kHotspot}) {
+  for (const KeyDist dist : {KeyDist::kUniform, KeyDist::kZipfian}) {
     KeyGenConfig config;
     config.num_keys = 1;
     config.dist = dist;
@@ -248,15 +230,6 @@ TEST(WorkloadEngine, SeedChangesTheRun) {
   EXPECT_NE(a.elapsed_ns, b.elapsed_ns);
 }
 
-TEST(WorkloadEngine, ThinkTimeStretchesTheRun) {
-  const auto fast = run_once(small_config());
-  workload::WorkloadConfig thinking = small_config();
-  thinking.think_min_ns = 5000;
-  thinking.think_max_ns = 10000;
-  const auto slow = run_once(thinking);
-  EXPECT_GT(slow.elapsed_ns, fast.elapsed_ns);
-}
-
 TEST(WorkloadEngine, OpenLoopChargesQueueingDelay) {
   workload::WorkloadConfig closed = small_config();
   workload::WorkloadConfig open = small_config();
@@ -273,7 +246,6 @@ TEST(WorkloadEngine, OpenLoopChargesQueueingDelay) {
 TEST(WorkloadEngine, PoissonOpenLoopRuns) {
   workload::WorkloadConfig wc = small_config();
   wc.arrival = workload::Arrival::kOpen;
-  wc.poisson_arrivals = true;
   wc.interarrival_ns = 5000;
   const auto result = run_once(wc);
   EXPECT_EQ(result.total_ops, 8u * 40u);
@@ -291,29 +263,69 @@ TEST(WorkloadEngine, SaturatedOpenLoopLatenciesStayNonNegativeAndFinite) {
   // Regression: the open loop measures from the *scheduled* arrival. In an
   // over-driven run a request can complete with `now` behind (or barely
   // ahead of) its schedule; the unsigned `now - scheduled` subtraction
-  // used to wrap into ~5e11 us latencies. Over-drive hard — deterministic
-  // 1 ns arrivals AND Poisson arrivals — and require every summary to be
-  // non-negative and far below the wrap magnitude.
-  for (const bool poisson : {false, true}) {
+  // used to wrap into ~5e11 us latencies. Over-drive hard — 1 ns mean
+  // Poisson arrivals — and require every summary to be non-negative and
+  // far below the wrap magnitude.
+  workload::WorkloadConfig wc = small_config();
+  wc.arrival = workload::Arrival::kOpen;
+  wc.interarrival_ns = 1;  // far above the service rate: permanent backlog
+  const auto result = run_once(wc);
+  EXPECT_EQ(result.total_ops, 8u * 40u);
+  for (const harness::Summary* s :
+       {&result.latency_us, &result.read_latency_us,
+        &result.write_latency_us}) {
+    EXPECT_GE(s->min, 0.0);
+    EXPECT_TRUE(std::isfinite(s->max));
+    // A wrapped u64 delta shows up as ~1.8e13 us; queueing delay in this
+    // tiny run is bounded by the whole run's virtual time (<< 1e9 us).
+    EXPECT_LT(s->max, 1e9);
+  }
+  // Saturation means queueing delay accumulates: the last arrivals wait
+  // for the whole backlog, so p95 must exceed the closed-loop service
+  // latency by a wide margin (the measurement is from scheduled time).
+  EXPECT_GT(result.latency_us.p95, result.latency_us.min);
+}
+
+TEST(WorkloadEngine, ClosedLoopPin) {
+  // Pins the closed loop's phases and draws: ⌈0.1·ops⌉ warmup requests,
+  // then the measured ones, each issued on completion of the last.
+  const auto result = run_once(small_config());
+  EXPECT_EQ(result.elapsed_ns, 379115);
+  EXPECT_EQ(result.total_ops, 8u * 40u);
+  EXPECT_EQ(result.read_ops, 238u);
+  EXPECT_EQ(result.write_ops, 82u);
+}
+
+TEST(WorkloadEngine, OpenLoopPin) {
+  // Pins the open loop: closed-loop warmup, then a Poisson schedule that
+  // starts at the measured phase's first request.
+  workload::WorkloadConfig wc = small_config();
+  wc.arrival = workload::Arrival::kOpen;
+  wc.interarrival_ns = 3000;
+  const auto result = run_once(wc);
+  EXPECT_EQ(result.elapsed_ns, 367947);
+  EXPECT_EQ(result.total_ops, 8u * 40u);
+  EXPECT_EQ(result.read_ops, 235u);
+  EXPECT_EQ(result.write_ops, 85u);
+}
+
+TEST(WorkloadEngine, RunsOnThreadWorld) {
+  // The shared §5 phases on real threads: barriers, warmup and the
+  // measured window over ThreadComm, closed and open loop.
+  for (const workload::Arrival arrival :
+       {workload::Arrival::kClosed, workload::Arrival::kOpen}) {
+    auto world = test::make_threads(topo::Topology::uniform({2}, 2));  // P=4
+    lockspace::LockSpaceConfig sc;
+    sc.slots_per_shard = 4;
+    lockspace::LockSpace space(*world, sc);
     workload::WorkloadConfig wc = small_config();
-    wc.arrival = workload::Arrival::kOpen;
-    wc.poisson_arrivals = poisson;
-    wc.interarrival_ns = 1;  // far above the service rate: permanent backlog
-    const auto result = run_once(wc);
-    EXPECT_EQ(result.total_ops, 8u * 40u) << "poisson " << poisson;
-    for (const harness::Summary* s :
-         {&result.latency_us, &result.read_latency_us,
-          &result.write_latency_us}) {
-      EXPECT_GE(s->min, 0.0) << "poisson " << poisson;
-      EXPECT_TRUE(std::isfinite(s->max)) << "poisson " << poisson;
-      // A wrapped u64 delta shows up as ~1.8e13 us; queueing delay in this
-      // tiny run is bounded by the whole run's virtual time (<< 1e9 us).
-      EXPECT_LT(s->max, 1e9) << "poisson " << poisson;
-    }
-    // Saturation means queueing delay accumulates: the last arrivals wait
-    // for the whole backlog, so p95 must exceed the closed-loop service
-    // latency by a wide margin (the measurement is from scheduled time).
-    EXPECT_GT(result.latency_us.p95, result.latency_us.min);
+    wc.ops_per_proc = 20;
+    wc.arrival = arrival;
+    const auto result = workload::run_workload(*world, space, wc);
+    EXPECT_EQ(result.total_ops, 4u * 20u);
+    EXPECT_EQ(result.total_ops, result.read_ops + result.write_ops);
+    EXPECT_GT(result.elapsed_ns, 0);
+    EXPECT_GT(result.instantiated_slots, 0u);
   }
 }
 
