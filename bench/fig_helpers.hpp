@@ -2,8 +2,8 @@
 //
 // Sweeps are fleets of independent SimWorld runs: every (series, P) point
 // derives everything from the BenchEnv and its own parameters, so the
-// drivers here measure points through a work-stealing TaskPool (--jobs /
-// RMALOCK_JOBS; default 1 = the plain sequential loop) and merge the
+// helpers here measure points through a TaskPool (--jobs / RMALOCK_JOBS;
+// default 1 = every point in order on the calling thread) and merge the
 // results into the FigureReport in canonical sweep order. Virtual-time
 // metrics are bit-identical at any jobs value; only wall clock changes.
 #pragma once

@@ -21,7 +21,7 @@
 // correct workload must come back clean, a planted bug must be caught.
 //
 // --jobs N (RMALOCK_JOBS; 0 = all cores) runs the randomized and
-// exhaustive campaigns on the work-stealing parallel campaign runtime.
+// exhaustive campaigns on N workers of the parallel campaign runtime.
 // Reports, counterexample coordinates, shrunk traces, and trace files are
 // bit-identical to the sequential run (docs/PERF.md, "Parallel
 // campaigns"); --replay is a single deterministic re-execution and

@@ -18,7 +18,7 @@
 //   world-build   set-up cost at the figures' P: SimWorld::create plus an
 //                 RMA-RW lock, built and destroyed without a run — what
 //                 every sweep point and benchmark iteration pays first;
-//   task-pool     the mc-churn fleet driven through the work-stealing
+//   task-pool     the mc-churn fleet driven through the shared-cursor
 //                 TaskPool at jobs=1 (pool overhead vs the inline loop)
 //                 and jobs=all-cores (parallel campaign scaling) — the
 //                 overhead/scaling gate for the parallel campaign runtime.
@@ -228,8 +228,8 @@ int main(int argc, char** argv) {
   // --- task-pool: the parallel campaign runtime's overhead gate ----------
   {
     // The mc-churn fleet again, but driven through the TaskPool. jobs=1
-    // exercises the inline path (its rate vs mc-churn is pure pool
-    // overhead); jobs=all-cores pins the parallel scaling on this host.
+    // runs every world on the calling thread (its rate vs mc-churn is pure
+    // pool overhead); jobs=all-cores pins the parallel scaling on this host.
     const topo::Topology topology = topo::Topology::uniform({}, 4);  // P=4
     const i32 worlds = env.smoke ? 200 : 2000;
     const i32 hw_jobs = harness::TaskPool::resolve_jobs(0);

@@ -237,17 +237,6 @@ void FigureReport::print() const {
     }
   }
   std::printf("\n");
-  for (const std::string& series : series_order_) {
-    for (const i32 p : ps_) {
-      for (const std::string& metric : metric_order_) {
-        if (has(series, p, metric)) {
-          std::printf("CSV,%s,%s,%d,%s,%.6f\n", figure_id_.c_str(),
-                      series.c_str(), p, metric.c_str(),
-                      value(series, p, metric));
-        }
-      }
-    }
-  }
   if (!checks_.empty()) {
     std::printf("\n");
     for (const Check& c : checks_) {

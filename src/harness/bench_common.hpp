@@ -1,10 +1,11 @@
 // Shared scaffolding for the figure-reproduction benchmark binaries.
 //
 // Every bench binary sweeps P like the paper (16..1024, 16 processes per
-// node, N = 2 machine levels), prints an aligned series table plus
-// machine-readable "CSV," lines, and ends with SHAPE-CHECK verdicts that
-// compare the measured ordering/ratios against the paper's qualitative
-// claims (absolute numbers are not expected to match — see EXPERIMENTS.md).
+// node, N = 2 machine levels), prints an aligned series table, and ends
+// with SHAPE-CHECK verdicts that compare the measured ordering/ratios
+// against the paper's qualitative claims (absolute numbers are not
+// expected to match — see EXPERIMENTS.md). --json writes the same points
+// as machine-readable records.
 //
 // Environment knobs:
 //   RMALOCK_PS     comma-separated P sweep override (e.g. "16,64,256")
@@ -118,7 +119,7 @@ class FigureReport {
 
   /// Order-preserving merge: adds every point exactly as a sequential
   /// loop of add() calls would, so series/metric/P orderings (and thus
-  /// tables, CSV lines, and JSON records) are independent of the order in
+  /// tables and JSON records) are independent of the order in
   /// which parallel workers finished the measurements.
   void add_points(const std::vector<SeriesPoint>& points);
 
@@ -143,8 +144,8 @@ class FigureReport {
   void add_histogram(const std::string& name, const obs::LogHistogram& hist);
 
   /// Prints the header, one pivot table per metric (rows = series,
-  /// columns = P), all CSV lines, and the shape-check verdicts. Also writes
-  /// the JSON record when --json was given (see write_json).
+  /// columns = P), and the shape-check verdicts. Also writes the JSON
+  /// record when --json was given (see write_json).
   void print() const;
 
   /// Writes the report as one "rmalock-bench-v2" JSON object:

@@ -1,13 +1,11 @@
 #include "harness/task_pool.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/check.hpp"
 
 namespace rmalock::harness {
 
@@ -31,104 +29,47 @@ void TaskPool::stop_after(u64 index) {
   }
 }
 
-/// Per-run() shared state: one deque per worker plus failure collection.
-struct TaskPool::Shared {
-  struct Queue {
-    std::mutex mutex;
-    std::deque<u64> indices;
-  };
-
-  const std::function<void(u64)>* task = nullptr;
-  std::vector<Queue> queues;
+void TaskPool::run(u64 num_tasks, const std::function<void(u64)>& task) {
+  stop_after_.store(kNoStop, std::memory_order_relaxed);
+  executed_.store(0, std::memory_order_relaxed);
+  std::atomic<u64> cursor{0};
   // First exception per its task index; the smallest index wins so the
   // rethrown error does not depend on scheduling.
   std::mutex failure_mutex;
   u64 failure_index = kNoStop;
   std::exception_ptr failure;
 
-  explicit Shared(usize workers) : queues(workers) {}
-};
-
-void TaskPool::worker_loop(Shared& shared, usize worker) {
-  const usize workers = shared.queues.size();
-  for (;;) {
-    u64 index = kNoStop;
-    {
-      // Own work first, from the front: each worker walks its contiguous
-      // index block in ascending order.
-      Shared::Queue& own = shared.queues[worker];
-      const std::lock_guard<std::mutex> lock(own.mutex);
-      if (!own.indices.empty()) {
-        index = own.indices.front();
-        own.indices.pop_front();
+  const auto worker = [&] {
+    for (;;) {
+      const u64 index = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (index >= num_tasks ||
+          index > stop_after_.load(std::memory_order_relaxed)) {
+        return;  // every later index is larger: nothing left to run
       }
-    }
-    if (index == kNoStop) {
-      // Steal from the back of the first non-empty victim: the stolen
-      // index is the one furthest from the victim's current position.
-      for (usize v = 1; v < workers && index == kNoStop; ++v) {
-        Shared::Queue& victim = shared.queues[(worker + v) % workers];
-        const std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.indices.empty()) {
-          index = victim.indices.back();
-          victim.indices.pop_back();
+      try {
+        task(index);
+        executed_.fetch_add(1, std::memory_order_relaxed);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (index < failure_index) {
+          failure_index = index;
+          failure = std::current_exception();
         }
+        // Abandon everything after the failure; earlier indices were all
+        // drawn already and keep running, so an even-smaller-index
+        // exception can still claim the slot.
+        stop_after(index == 0 ? 0 : index - 1);
       }
     }
-    if (index == kNoStop) return;  // no task anywhere: fleet drained
-    if (index > stop_after_.load(std::memory_order_relaxed)) continue;
-    try {
-      (*shared.task)(index);
-      executed_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(shared.failure_mutex);
-      if (index < shared.failure_index) {
-        shared.failure_index = index;
-        shared.failure = std::current_exception();
-      }
-      // Abandon everything after the failure; earlier tasks keep running
-      // so an even-smaller-index exception can still claim the slot.
-      stop_after(index == 0 ? 0 : index - 1);
-    }
-  }
-}
+  };
 
-void TaskPool::run(u64 num_tasks, const std::function<void(u64)>& task) {
-  stop_after_.store(kNoStop, std::memory_order_relaxed);
-  executed_.store(0, std::memory_order_relaxed);
-  if (num_tasks == 0) return;
-
-  if (jobs_ <= 1 || num_tasks == 1) {
-    // The sequential default: literally a for loop, no thread machinery.
-    for (u64 i = 0; i < num_tasks; ++i) {
-      if (i > stop_after_.load(std::memory_order_relaxed)) break;
-      task(i);
-      executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-
-  const usize workers =
-      static_cast<usize>(std::min<u64>(static_cast<u64>(jobs_), num_tasks));
-  Shared shared(workers);
-  shared.task = &task;
-  // Block partition in index order: worker w starts on [w*n/W, (w+1)*n/W).
-  // Stealing rebalances skew; the blocks just set up locality.
-  for (usize w = 0; w < workers; ++w) {
-    const u64 begin = num_tasks * w / workers;
-    const u64 end = num_tasks * (w + 1) / workers;
-    for (u64 i = begin; i < end; ++i) shared.queues[w].indices.push_back(i);
-  }
-
+  const u64 workers = std::min<u64>(static_cast<u64>(jobs_), num_tasks);
   std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (usize w = 1; w < workers; ++w) {
-    threads.emplace_back([this, &shared, w] { worker_loop(shared, w); });
-  }
-  worker_loop(shared, 0);
+  for (u64 w = 1; w < workers; ++w) threads.emplace_back(worker);
+  worker();
   for (std::thread& t : threads) t.join();
 
-  if (shared.failure) std::rethrow_exception(shared.failure);
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace rmalock::harness

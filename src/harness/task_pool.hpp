@@ -1,34 +1,32 @@
-// Work-stealing task pool for campaigns of independent SimWorld runs.
+// Task pool for campaigns of independent SimWorld runs.
 //
-// Every campaign driver in this repo — the MC checker's schedule loops, the
+// Every campaign in this repo — the MC checker's schedule loop, the
 // bounded-exhaustive explorer, the figure-sweep benchmarks — executes a
 // fleet of *independent* deterministic simulations: task i derives its
 // entire behaviour from (configuration, i), never from any other task. The
 // pool exploits exactly that shape: the caller names a task count, workers
-// drain index ranges and steal from each other when their range runs dry,
-// and every task writes into a caller-owned slot keyed by its index. The
-// *merge* of those slots back into a report stays sequential and in
-// canonical index order, which is what keeps parallel campaign output
-// bit-identical to the sequential run (see docs/PERF.md, "Parallel
-// campaigns").
+// draw indices from one shared cursor, and every task writes into a
+// caller-owned slot keyed by its index. The *merge* of those slots back
+// into a report stays sequential and in canonical index order, which is
+// what keeps parallel campaign output bit-identical to the sequential run
+// (see docs/PERF.md, "Parallel campaigns").
 //
 // Design notes:
-//   * jobs == 1 runs every task inline on the calling thread — no threads,
-//     no atomics on the task path — so the sequential default is literally
-//     the pre-pool code path and replay/golden-trace semantics cannot
-//     shift.
-//   * Tasks are coarse (a full SimWorld run, ~0.1–10 ms), so the deques are
-//     mutex-protected rather than lock-free: the overhead is noise at this
-//     granularity (pinned by the task-pool shape in bench/micro_engine) and
-//     the implementation is trivially TSan-clean.
-//   * Workers take from the *front* of their own deque and steal from the
-//     *back* of a victim's, so contiguous index ranges stay contiguous per
-//     worker — friendlier to the thread-local fiber StackPool, which then
-//     sees a steady stack size per worker.
+//   * One atomic cursor hands out indices in ascending order. Tasks are
+//     coarse (a full SimWorld run, ~0.1–10 ms), so one shared counter is
+//     all the balancing a fleet needs: a worker that finishes early just
+//     draws the next index (pinned by the task-pool shape in
+//     bench/micro_engine).
+//   * The calling thread is worker 0 and min(jobs, n) workers run, so
+//     jobs == 1 spawns no thread and runs the tasks in index order on the
+//     caller's thread: replay/golden-trace semantics cannot shift.
 //   * stop_after(i) lets a task declare "indices > i are no longer needed"
 //     (the exhaustive explorer uses it when a subtree finds a violation:
 //     earlier subtrees must still finish for deterministic counts, later
-//     ones are dead work). It only ever lowers the threshold.
+//     ones are dead work). It only ever lowers the threshold. Indices are
+//     drawn in ascending order, so every index at or below the threshold
+//     was drawn before any above it, and a worker that draws an index above
+//     the threshold stops.
 #pragma once
 
 #include <atomic>
@@ -53,9 +51,9 @@ class TaskPool {
   [[nodiscard]] i32 jobs() const { return jobs_; }
 
   /// Runs task(0) .. task(num_tasks - 1), each exactly once, and returns
-  /// when all have finished (or been skipped via stop_after). With one
-  /// job the tasks run inline, in index order. With several jobs the
-  /// calling thread participates as worker 0.
+  /// when all have finished (or been skipped via stop_after). The calling
+  /// thread participates as worker 0; with one job the tasks run on it, in
+  /// index order.
   ///
   /// Tasks must be independent: they may not touch another task's slot and
   /// must tolerate running on any thread in any order. If a task throws,
@@ -76,10 +74,6 @@ class TaskPool {
   }
 
  private:
-  struct Shared;  // per-run() state, defined in task_pool.cpp
-
-  void worker_loop(Shared& shared, usize worker);
-
   i32 jobs_ = 1;
   std::atomic<u64> stop_after_;
   std::atomic<u64> executed_{0};

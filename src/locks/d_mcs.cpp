@@ -3,57 +3,15 @@
 namespace rmalock::locks {
 
 DMcs::DMcs(rma::World& world, Rank tail_rank)
-    : tail_rank_(tail_rank),
-      next_(world.allocate(1)),
-      wait_(world.allocate(1)),
-      tail_(world.allocate(1)) {
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, next_, kNilRank);
-    world.write_word(r, wait_, 0);
-    world.write_word(r, tail_, kNilRank);
-  }
-}
+    : tree_(world, topo::Topology::uniform({}, world.nprocs()), tail_rank) {}
 
 // Listing 2.
-void DMcs::acquire(rma::RmaComm& comm) {
-  const Rank p = comm.rank();
-  // Prepare local fields: both puts pipeline into the one flush.
-  comm.iput(kNilRank, p, next_);
-  comm.iput(1, p, wait_);
-  comm.flush(p);
-  // Enter the tail of the MCS queue and get the predecessor.
-  const i64 pred = comm.fao(p, tail_rank_, tail_, rma::AccumOp::kReplace);
-  comm.flush(tail_rank_);  // ensure completion of FAO
-  if (pred != kNilRank) {  // there is a predecessor
-    // Make the predecessor see us.
-    comm.iput(p, static_cast<Rank>(pred), next_);
-    comm.flush(static_cast<Rank>(pred));
-    i64 waiting = 1;
-    do {  // spin locally until we get the lock
-      waiting = comm.get(p, wait_);
-      comm.flush(p);
-    } while (waiting != 0);
-  }
-}
+void DMcs::acquire(rma::RmaComm& comm) { tree_.enqueue_and_wait(comm, 1); }
 
-// Listing 3.
+// Listing 3: a successor is handed STATUS = ACQUIRE_START, its permission
+// to enter.
 void DMcs::release(rma::RmaComm& comm) {
-  const Rank p = comm.rank();
-  i64 successor = comm.get(p, next_);
-  comm.flush(p);
-  if (successor == kNilRank) {
-    // Check whether we are still the queue tail; if so, empty the queue.
-    const i64 current = comm.cas(kNilRank, p, tail_rank_, tail_);
-    comm.flush(tail_rank_);
-    if (current == p) return;  // we were the only process in the queue
-    do {  // somebody is enqueueing: wait for them to become visible
-      successor = comm.get(p, next_);
-      comm.flush(p);
-    } while (successor == kNilRank);
-  }
-  // Notify the successor (pipelined handoff put).
-  comm.iput(0, static_cast<Rank>(successor), wait_);
-  comm.flush(static_cast<Rank>(successor));
+  tree_.leave(comm, 1, kStatusAcquireStart);
 }
 
 }  // namespace rmalock::locks

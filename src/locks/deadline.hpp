@@ -47,19 +47,6 @@ struct AcquireResult {
 /// "No deadline": the blocking paths' value for a deadline parameter.
 inline constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
 
-/// An absolute deadline in the calling process's now_ns() timeline.
-struct Deadline {
-  Nanos at_ns = 0;
-
-  /// Deadline `budget_ns` from the caller's current time.
-  [[nodiscard]] static Deadline in(rma::RmaComm& comm, Nanos budget_ns) {
-    return Deadline{comm.now_ns() + budget_ns};
-  }
-  [[nodiscard]] bool expired(rma::RmaComm& comm) const {
-    return comm.now_ns() >= at_ns;
-  }
-};
-
 /// Shared retry policy: capped exponential backoff with jitter. Delays are
 /// virtual time (RmaComm::compute) and jitter comes from the deterministic
 /// per-process Rng, so timed acquires stay schedule-reproducible.

@@ -1,11 +1,20 @@
 #include "locks/dtree.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace rmalock::locks {
 
 DistributedTree::DistributedTree(rma::World& world)
-    : topo_(world.topology()) {
+    : DistributedTree(world, world.topology(), 0) {}
+
+DistributedTree::DistributedTree(rma::World& world, topo::Topology topology,
+                                 Rank root_tail)
+    : topo_(std::move(topology)), root_tail_(root_tail) {
+  RMALOCK_CHECK_MSG(topo_.nprocs() == world.nprocs() && root_tail >= 0 &&
+                        root_tail < world.nprocs(),
+                    "tree topology or root tail does not fit the world");
   const i32 n = topo_.num_levels();
   next_.reserve(static_cast<usize>(n));
   status_.reserve(static_cast<usize>(n));

@@ -36,8 +36,14 @@ namespace rmalock::locks {
 
 class DistributedTree {
  public:
-  /// Collective: allocates NEXT/STATUS/TAIL words for every level.
+  /// Collective: the tree of the world's machine, with the root TAIL on
+  /// rank 0 (the representative of the one level-1 element).
   explicit DistributedTree(rma::World& world);
+
+  /// Collective: allocates NEXT/STATUS/TAIL words for every level of
+  /// `topology` (which must span the world's ranks) and hosts the root
+  /// DQ's TAIL on `root_tail`. D-MCS is the tree of a one-level topology.
+  DistributedTree(rma::World& world, topo::Topology topology, Rank root_tail);
 
   [[nodiscard]] i32 num_levels() const { return topo_.num_levels(); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
@@ -154,8 +160,9 @@ class DistributedTree {
   }
 
   /// The paper's tail_rank[q, e(p,q)]: rank hosting the TAIL pointer of the
-  /// DQ serving p's element at level q.
+  /// DQ serving p's element at level q (the root's is the constructor's).
   [[nodiscard]] Rank tail_host(Rank p, i32 q) const {
+    if (q == 1) return root_tail_;
     return topo_.rep_rank(q, topo_.element_of(p, q));
   }
 
@@ -193,6 +200,7 @@ class DistributedTree {
   bool try_pass_local(rma::RmaComm& comm, i32 q, i64 tl);
 
   topo::Topology topo_;
+  Rank root_tail_;
   // Window offsets, one triple per level (index q-1).
   std::vector<WinOffset> next_;
   std::vector<WinOffset> status_;

@@ -547,7 +547,7 @@ void capture_first_failure(
   }
   failure.raw_trace_len = failure.trace.picks.size();
 
-  if (config.shrink_failures && !failure.trace.picks.empty()) {
+  if (!failure.trace.picks.empty()) {
     const bool want_mutex = outcome.mutex_violations > 0;
     const bool want_livelock =
         !want_mutex && outcome.livelock_violations > 0;
@@ -624,13 +624,12 @@ void capture_first_failure(
   report.first_failure = std::move(failure);
 }
 
-// Sequential (jobs == 1) and parallel (jobs > 1) paths are observably
-// identical: schedule i's options depend only on (config, i), the parallel
-// path collects outcomes into per-index slots, and folding / first-failure
-// capture (including ddmin shrinking and trace-file writing) always happens
-// on the calling thread, in index order — so the reported first failure is
-// the smallest failing schedule index no matter which worker finished
-// first.
+// Every schedule runs on the TaskPool into its own per-index slot, at every
+// jobs value: schedule i's options depend only on (config, i), and folding /
+// first-failure capture (including ddmin shrinking and trace-file writing)
+// happens afterwards on the calling thread, in index order — so the
+// reported first failure is the smallest failing schedule index no matter
+// which worker finished first, and --jobs N matches --jobs 1 byte for byte.
 CheckReport check(const CheckConfig& config, const Workload& workload) {
   CheckReport report;
   // The schedule-invariant option parts (topology copy, latency model,
@@ -640,18 +639,8 @@ CheckReport check(const CheckConfig& config, const Workload& workload) {
   const auto rerun = [&](const rma::SimOptions& run_opts) {
     return workload.run(config, run_opts);
   };
-  const i32 jobs = harness::TaskPool::resolve_jobs(config.jobs);
-  if (jobs <= 1 || config.schedules <= 1) {
-    for (u64 schedule = 0; schedule < config.schedules; ++schedule) {
-      opts.seed = mix_seed(config.base_seed, schedule);
-      const ScheduleOutcome outcome = rerun(opts);
-      fold_outcome(report, outcome);
-      capture_first_failure(report, config, outcome, schedule, opts, rerun);
-    }
-    return report;
-  }
   std::vector<ScheduleOutcome> slots(static_cast<usize>(config.schedules));
-  harness::TaskPool pool(jobs);
+  harness::TaskPool pool(config.jobs);
   pool.run(config.schedules, [&](u64 schedule) {
     rma::SimOptions task_opts = opts;  // private copy per task
     task_opts.seed = mix_seed(config.base_seed, schedule);

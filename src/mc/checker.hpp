@@ -64,8 +64,6 @@ struct CheckConfig : rma::FaultKnobs {
   /// explorer pin a reader/writer mix instead of depending on the seed.
   std::vector<bool> writer_roles;
   i32 pct_change_points = 3;
-  /// ddmin-shrink the first failing trace to a minimal counterexample.
-  bool shrink_failures = true;
   /// If non-empty, write the first failing (shrunk) trace as a
   /// "rmalock-trace" file into this directory and report its path
   /// (mc_verification + the CI artifact upload use this).
@@ -78,11 +76,11 @@ struct CheckConfig : rma::FaultKnobs {
   /// Retry policy the timed workloads hand to try_acquire_for. The planted
   /// livelock bug is `retry.backoff = false`.
   locks::RetryPolicy retry;
-  /// Worker threads for the campaign (--jobs / RMALOCK_JOBS): 1 = the
-  /// sequential loop (default), n > 1 = run schedules on a work-stealing
-  /// TaskPool, <= 0 = all hardware threads. Every observable output —
-  /// counters, first-failure coordinates, shrunk traces, trace files — is
-  /// bit-identical across jobs values: schedule i's world seed is
+  /// Worker threads for the campaign's TaskPool (--jobs / RMALOCK_JOBS):
+  /// 1 = every schedule in index order on the calling thread (default),
+  /// n > 1 = n workers, <= 0 = all hardware threads. Every observable
+  /// output — counters, first-failure coordinates, shrunk traces, trace
+  /// files — is bit-identical across jobs values: schedule i's world seed is
   /// mix_seed(base_seed, i) regardless of which worker runs it, outcomes
   /// land in per-index slots, and the merge walks them in index order
   /// (docs/PERF.md, "Parallel campaigns").
@@ -112,7 +110,7 @@ struct FirstFailure {
   u64 world_seed = 0;      // SimOptions::seed of the failing run
   usize raw_trace_len = 0;       // picks recorded before shrinking
   rma::ScheduleTrace trace;      // shrunk counterexample (== raw when
-                                 // shrinking is disabled or impossible)
+                                 // shrinking is impossible)
   std::string trace_path;        // file written iff CheckConfig::trace_dir
   /// Flight recorder: the (shrunk) counterexample re-run once with the
   /// event tracer armed — the tail of every rank's event ring rendered
@@ -318,9 +316,9 @@ std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,
 void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome);
 
 /// If `outcome` failed and `report` has no failure yet: records the first
-/// failure, ddmin-shrinks its trace via `rerun` (per config), and writes the
-/// trace file (per config). `opts` must be the options the failing schedule
-/// ran under; `rerun` must re-execute one schedule with the given options.
+/// failure, ddmin-shrinks its trace via `rerun`, and writes the trace file
+/// (per config). `opts` must be the options the failing schedule ran under;
+/// `rerun` must re-execute one schedule with the given options.
 void capture_first_failure(
     CheckReport& report, const CheckConfig& config,
     const ScheduleOutcome& outcome, u64 schedule_index,

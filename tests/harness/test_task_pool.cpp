@@ -1,10 +1,11 @@
-// TaskPool: the work-stealing campaign runtime (harness/task_pool.hpp).
+// TaskPool: the shared-cursor campaign runtime (harness/task_pool.hpp).
 //
 // The pool's contract is exactly what the deterministic-merge campaign
 // drivers lean on: every index runs exactly once, slots indexed by task
-// are safe to fill concurrently, jobs=1 is a plain inline loop, stop_after
-// only ever skips indices *above* the threshold, and a task exception is
-// rethrown deterministically (smallest index). These tests pin each clause.
+// are safe to fill concurrently, jobs=1 runs in index order on the caller's
+// thread, stop_after only ever skips indices *above* the threshold, and a
+// task exception is rethrown deterministically (smallest index). These
+// tests pin each clause.
 #include "harness/task_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -66,9 +67,10 @@ TEST(TaskPool, SlotsFilledIdenticallyAcrossJobCounts) {
   EXPECT_EQ(fill(8), sequential);
 }
 
-TEST(TaskPool, StealingDrainsSkewedWork) {
-  // One early index carries nearly all the work; stealing must still
-  // complete the fleet (and nothing may run twice).
+TEST(TaskPool, SkewedWorkDrains) {
+  // One early index carries nearly all the work; the other workers keep
+  // drawing from the cursor, so the fleet still completes (and nothing may
+  // run twice).
   TaskPool pool(4);
   constexpr u64 kTasks = 64;
   std::vector<std::atomic<i32>> hits(kTasks);

@@ -1,12 +1,11 @@
-// RetryPolicy / Deadline edge cases. delay_for's contract is "never exceeds
-// cap_ns, jitter included, and never trips UB": exponential doubling up to
-// the cap, attempt numbers past the shift guard, multi-millisecond bases
-// whose naive base << attempt would overflow i64, non-positive bases, and
-// the jittered excursion being clamped at the cap. Plus Deadline expiry in
-// the caller's now_ns() timeline, the retry_until loop's contract (one
-// attempt on an expired deadline, the max_attempts valve on a frozen clock,
-// backoff time exactly the drawn delays) and a Backoff::pause escalation
-// smoke.
+// RetryPolicy / retry_until edge cases. delay_for's contract is "never
+// exceeds cap_ns, jitter included, and never trips UB": exponential doubling
+// up to the cap, attempt numbers past the shift guard, multi-millisecond
+// bases whose naive base << attempt would overflow i64, non-positive bases,
+// and the jittered excursion being clamped at the cap. Plus the retry_until
+// loop's contract (one attempt on an expired deadline, the max_attempts
+// valve on a frozen clock, backoff time exactly the drawn delays) and a
+// Backoff::pause escalation smoke.
 #include "locks/deadline.hpp"
 
 #include <gtest/gtest.h>
@@ -101,18 +100,6 @@ TEST(RetryPolicy, JitterActuallySpreadsTheDelay) {
     above = above || delay > 2'000;
   }
   EXPECT_TRUE(below && above) << "jitter never left the base delay";
-}
-
-TEST(Deadline, ExpiresInTheCallersTimeline) {
-  auto world = test::make_sim(topo::Topology::uniform({}, 1));
-  world->run([&](rma::RmaComm& comm) {
-    const Deadline deadline = Deadline::in(comm, 1'000);
-    EXPECT_FALSE(deadline.expired(comm));
-    comm.compute(999);
-    EXPECT_FALSE(deadline.expired(comm));
-    comm.compute(1);  // at_ns reached: expiry is inclusive
-    EXPECT_TRUE(deadline.expired(comm));
-  });
 }
 
 TEST(RetryUntil, ExpiredDeadlineStillMakesExactlyOneAttempt) {

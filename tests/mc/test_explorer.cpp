@@ -144,7 +144,6 @@ CheckConfig tiny_config(i32 procs, i32 acquires) {
   config.topology = topo::Topology::uniform({}, procs);
   config.acquires_per_proc = acquires;
   config.max_steps = 200'000;
-  config.shrink_failures = true;
   return config;
 }
 

@@ -1,11 +1,12 @@
 // Parallel campaign determinism: --jobs N and --jobs 1 must be
 // observationally equivalent (docs/PERF.md, "Parallel campaigns").
 //
-// Every assertion here compares a campaign run sequentially (jobs=1, the
-// pre-parallel code path) against the same campaign on the work-stealing
-// TaskPool: byte-equal CheckReport summaries, identical schedule counts
-// and virtual-time-derived counters, the same first-failure coordinates,
-// and the same ddmin-shrunk counterexample trace on planted-bug fixtures.
+// Every assertion here compares a campaign run sequentially (jobs=1: one
+// worker, the calling thread, in index order) against the same campaign on
+// several TaskPool workers: byte-equal CheckReport summaries, identical
+// schedule counts and virtual-time-derived counters, the same first-failure
+// coordinates, and the same ddmin-shrunk counterexample trace on
+// planted-bug fixtures.
 // This suite is also the TSan entry for the parallel checker path (CI runs
 // it under the tsan preset).
 #include <gtest/gtest.h>
