@@ -89,7 +89,7 @@ struct ReclaimResult {
   double reclaim_us = 0;    // crash -> administrative sweep completed
 };
 
-/// LockSpace administrative recovery: the victim instantiates a handful of
+/// LockSpace administrative recovery: the victim takes a handful of
 /// named lease locks, dies holding one of them, and a survivor runs
 /// recover_orphans() once the failure detector flags the victim — exactly
 /// one lease may be reclaimed, and the orphaned name must be acquirable
@@ -112,7 +112,7 @@ ReclaimResult measure_space_reclaim(const BenchEnv& env, i32 p, u64 rep) {
   u64 reclaimed = 0;
   const rma::RunResult run = world->run([&](rma::RmaComm& comm) {
     if (comm.rank() == victim) {
-      // Instantiate several slots so the sweep has live-but-free leases to
+      // Take several slots so the sweep has used-but-free leases to
       // correctly skip, then die holding one of them.
       for (u64 key = 0; key < kKeys; ++key) {
         space.acquire(comm, key);

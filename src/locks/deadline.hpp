@@ -15,7 +15,7 @@
 // checker: under the MC's zero-latency cost model, clocks only advance
 // through compute(), so a correctly backing-off retry loop provably expires
 // its deadline after a bounded number of attempts — while a no-backoff loop
-// freezes the clock, never expires, and runs into the max_attempts safety
+// freezes the clock, never expires, and runs into the kMaxAttempts safety
 // valve, which the starvation monitor flags (see mc/monitor.hpp).
 #pragma once
 
@@ -49,65 +49,56 @@ inline constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
 
 /// Shared retry policy: capped exponential backoff with jitter. Delays are
 /// virtual time (RmaComm::compute) and jitter comes from the deterministic
-/// per-process Rng, so timed acquires stay schedule-reproducible.
+/// per-process Rng, so timed acquires stay schedule-reproducible. The shape
+/// is constant: schedule trace files do not record it, so a replay must
+/// rebuild the same delays.
 struct RetryPolicy {
-  /// First retry delay; doubles per attempt up to cap_ns.
-  Nanos base_ns = 500;
-  /// Backoff ceiling.
-  Nanos cap_ns = 64'000;
+  /// First retry delay; doubles per attempt up to kCapNs.
+  static constexpr Nanos kBaseNs = 500;
+  /// Backoff ceiling, reached at attempt 7.
+  static constexpr Nanos kCapNs = 64'000;
+  static_assert((kBaseNs << 7) == kCapNs);
   /// Jitter amplitude as a permille fraction of the current delay
-  /// (delay +- delay * jitter_permille / 1000).
-  u32 jitter_permille = 250;
-  /// False = retry immediately with no delay. This is the knob the planted
-  /// no-backoff livelock bug flips; correct callers leave it on.
-  bool backoff = true;
+  /// (delay +- delay * kJitterPermille / 1000).
+  static constexpr u32 kJitterPermille = 250;
   /// Safety valve: a retry loop gives up after this many attempts even if
   /// its deadline never expires (which can only happen when the clock is
   /// frozen — i.e. under the no-backoff bug in the zero-latency MC model).
-  u32 max_attempts = 512;
+  static constexpr u32 kMaxAttempts = 512;
 
-  /// Delay before retry number `attempt` (0-based), jittered from `rng`.
-  /// Never exceeds cap_ns, jitter included: the cap is the caller's promise
-  /// about worst-case added latency per retry, and a +25% jittered
-  /// excursion above it would break deadline math built on it.
+  /// False = retry immediately with no delay. This is the knob the planted
+  /// no-backoff livelock bug flips; correct callers leave it on.
+  bool backoff = true;
+
+  /// Delay before retry number `attempt` (0-based), jittered from `rng`
+  /// with one draw. Never exceeds kCapNs, jitter included: the cap is the
+  /// caller's promise about worst-case added latency per retry, and a +25%
+  /// jittered excursion above it would break deadline math built on it.
   [[nodiscard]] Nanos delay_for(u32 attempt, Xoshiro256& rng) const {
     if (!backoff) return 0;
-    const u32 shift = attempt < 20 ? attempt : 20;
-    // Compare against the shifted-down cap instead of shifting the base
-    // up: base_ns << 20 overflows i64 for a base over ~8.8 ms, and signed
-    // overflow (like shifting a non-positive base) is UB — the comparison
-    // runs in the safe direction.
-    const Nanos delay_base =
-        (base_ns <= 0 || base_ns >= (cap_ns >> shift)) ? cap_ns
-                                                       : base_ns << shift;
-    Nanos delay = delay_base;
-    if (jitter_permille > 0) {
-      const Nanos span = delay * jitter_permille / 1000;
-      if (span > 0) {
-        delay += static_cast<Nanos>(
-                     rng.below(2 * static_cast<u64>(span) + 1)) -
-                 span;
-        if (delay > cap_ns) delay = cap_ns;
-      }
-    }
-    return delay;
+    const Nanos delay = attempt < 7 ? kBaseNs << attempt : kCapNs;
+    const Nanos span = delay * kJitterPermille / 1000;
+    const Nanos jittered =
+        delay + static_cast<Nanos>(rng.below(2 * static_cast<u64>(span) + 1)) -
+        span;
+    return jittered < kCapNs ? jittered : kCapNs;
   }
 };
 
 /// The one retry loop of every timed acquire. Calls `attempt()` (true = the
-/// lock is held) until it succeeds, the deadline passes, or
-/// `retry.max_attempts` attempts are spent; between attempts it backs off
-/// delay_for(k) of virtual time (RmaComm::compute) drawn from comm.rng().
-/// An already-expired deadline still gets one attempt. A failed attempt
-/// must leave nothing held.
+/// lock is held) until it succeeds, the deadline passes, or kMaxAttempts
+/// attempts are spent; between attempts it backs off delay_for(k) of
+/// virtual time (RmaComm::compute) drawn from comm.rng(). An already-expired
+/// deadline still gets one attempt. A failed attempt must leave nothing held.
 template <typename Attempt>
 AcquireResult retry_until(rma::RmaComm& comm, Nanos deadline_ns,
                           const RetryPolicy& retry, Attempt&& attempt) {
   for (u32 attempts = 1;; ++attempts) {
     if (attempt()) return AcquireResult{AcquireStatus::kAcquired, attempts};
     // The attempts valve fires even when the clock is frozen (see
-    // RetryPolicy::max_attempts); the deadline governs the common case.
-    if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
+    // RetryPolicy::kMaxAttempts); the deadline governs the common case.
+    if (attempts >= RetryPolicy::kMaxAttempts ||
+        comm.now_ns() >= deadline_ns) {
       return AcquireResult{AcquireStatus::kTimeout, attempts};
     }
     const Nanos delay = retry.delay_for(attempts - 1, comm.rng());

@@ -47,13 +47,6 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-std::optional<Backend> backend_from_name(const std::string& name) {
-  for (const Backend b : all_backends()) {
-    if (name == backend_name(b)) return b;
-  }
-  return std::nullopt;
-}
-
 const std::vector<Backend>& all_backends() {
   static const std::vector<Backend> kAll = {
       Backend::kFompiSpin, Backend::kDMcs,  Backend::kRmaMcs,

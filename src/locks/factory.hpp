@@ -3,9 +3,9 @@
 // Before LockSpace, every harness that needed "a lock of kind X" grew its
 // own switch (the conformance matrix, the MC workload registry, the figure
 // benches). LockSpace multiplexes thousands of lock instances and needs the
-// same choice as data, so the switch lives here once: a Backend enum, name
-// round-tripping for CLIs and JSON records, and make_exclusive / make_rw
-// constructors that accept an optional home rank.
+// same choice as data, so the switch lives here once: a Backend enum, its
+// names for JSON records, and make_exclusive / make_rw constructors that
+// accept an optional home rank.
 //
 // Home semantics: the centralized protocols (foMPI-Spin, foMPI-RW) host
 // their single lock word on `home`; D-MCS hosts its tail pointer there;
@@ -17,8 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "locks/lock.hpp"
@@ -46,9 +44,6 @@ enum class Backend : u8 {
 /// Stable identifier, e.g. "rma-rw" — used in bench series names, CLI
 /// flags, and MC workload ids.
 [[nodiscard]] const char* backend_name(Backend b);
-
-/// Inverse of backend_name(); nullopt for unknown names.
-[[nodiscard]] std::optional<Backend> backend_from_name(const std::string&);
 
 /// All backends, in declaration order (test matrices iterate this).
 [[nodiscard]] const std::vector<Backend>& all_backends();

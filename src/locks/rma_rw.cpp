@@ -241,7 +241,7 @@ AcquireResult RmaRw::try_acquire_write_for(rma::RmaComm& comm,
       // the drain by the deadline — a straggling reader must not convert
       // a timed acquire into an unbounded wait.
       set_counters_to_write(comm);
-      if (drain_readers(comm, deadline_ns, retry.max_attempts)) return true;
+      if (drain_readers(comm, deadline_ns, RetryPolicy::kMaxAttempts)) return true;
       // Undo the claim. Reopen the counters first: the flags were ours,
       // and readers must not stay blocked by a writer that is giving up.
       // Then leave the root DQ, handing any successor MODE_CHANGE (the

@@ -9,75 +9,6 @@
 
 namespace rmalock::lockspace {
 
-namespace {
-
-/// A bump sub-allocator over a pre-reserved window range of a parent
-/// World. Lock constructors only ever allocate() and write initial words;
-/// both are legal against the parent even while run() is in flight (the
-/// backing windows were grown when LockSpace reserved the arena), which is
-/// what makes lazy slot construction possible. run() is forbidden.
-class SlotArena final : public rma::World {
- public:
-  SlotArena(rma::World& parent, WinOffset base, usize words)
-      : World(parent.topology()),
-        parent_(parent),
-        limit_(static_cast<usize>(base) + words) {
-    allocated_words_ = static_cast<usize>(base);
-  }
-
-  rma::RunResult run(const std::function<void(rma::RmaComm&)>&) override {
-    RMALOCK_CHECK_MSG(false, "SlotArena cannot run SPMD bodies");
-    return {};
-  }
-
-  [[nodiscard]] i64 read_word(Rank rank, WinOffset offset) const override {
-    return parent_.read_word(rank, offset);
-  }
-  void write_word(Rank rank, WinOffset offset, i64 value) override {
-    // Lock constructors initialize their words through write_word; route
-    // them to the parent's init path, which stays legal mid-run for the
-    // never-yet-accessed cells of a freshly carved slot.
-    parent_.init_word(rank, offset, value);
-  }
-  [[nodiscard]] rma::OpStats aggregate_stats() const override {
-    return parent_.aggregate_stats();
-  }
-
- protected:
-  void grow_windows(usize words) override {
-    RMALOCK_CHECK_MSG(words <= limit_,
-                      "slot arena overflow: backend needs " << words
-                          << " words but the slot reserves up to " << limit_
-                          << " — an instance outgrew the probed footprint");
-  }
-
- private:
-  rma::World& parent_;
-  usize limit_;
-};
-
-/// A window-less World that only counts allocations: constructing a backend
-/// against it measures the true per-instance footprint without touching the
-/// real world. Lock constructors only allocate() and write initial words,
-/// both of which this absorbs locally.
-class MeasureWorld final : public rma::World {
- public:
-  explicit MeasureWorld(const topo::Topology& topo) : World(topo) {}
-
-  rma::RunResult run(const std::function<void(rma::RmaComm&)>&) override {
-    RMALOCK_CHECK_MSG(false, "MeasureWorld cannot run SPMD bodies");
-    return {};
-  }
-  [[nodiscard]] i64 read_word(Rank, WinOffset) const override { return 0; }
-  void write_word(Rank, WinOffset, i64) override {}
-  [[nodiscard]] rma::OpStats aggregate_stats() const override { return {}; }
-
- protected:
-  void grow_windows(usize) override {}
-};
-
-}  // namespace
-
 LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
     : world_(world), config_(config) {
   const topo::Topology& topo = world.topology();
@@ -93,61 +24,67 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
                     "re-homing supports exclusive backends only (the "
                     "migration fence covers one grant path)");
 
-  // Each slot reserves exactly what one instance allocates: the lock
-  // classes own their word layouts (docs/DESIGN.md §3), so measure a probe
-  // instance against a window-less world rather than restate them here. RW
-  // backends are probed through their write side, which allocates the
-  // same words.
-  {
-    MeasureWorld probe(topo);
-    (void)locks::make_exclusive(config_.backend, probe, /*home=*/0);
-    words_per_slot_ = probe.window_words();
-  }
-  RMALOCK_CHECK(words_per_slot_ > 0);
-
-  // One contiguous reservation for the whole grid — times planes() when
-  // re-homing pre-reserves migration successors. Slot (plane p, gs)'s range
-  // starts at base + (p * total_slots + gs) * words_per_slot_, so lazy
-  // construction never grows windows, even for a plane first touched
-  // mid-run by a migration.
-  const WinOffset base = world.allocate(words_per_slot_ *
-                                        static_cast<usize>(total_slots()) *
-                                        static_cast<usize>(planes()));
-
   shards_.reserve(static_cast<usize>(num_shards_));
   for (i32 s = 0; s < num_shards_; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->home = home_of_slot(s, /*slot=*/0, /*plane=*/0);
     shards_.push_back(std::move(shard));
   }
+  const usize ctl_words = rehoming() ? static_cast<usize>(num_shards_) : 0;
+  if (config_.payload_words > 0) {
+    payload_stride_ = 1 + static_cast<usize>(config_.payload_words);
+  }
+  const usize payload_words =
+      payload_stride_ * static_cast<usize>(total_slots());
+  const u32 spp = static_cast<u32>(config_.slots_per_shard);
 
+  // Build every slot, plane by plane and global slot ascending (the
+  // slot_index order). Every instance of one backend allocates the same
+  // footprint W (it depends only on the topology), so slot (plane p, gs)
+  // occupies W words from base + (p * total_slots + gs) * W. The first
+  // instance measures W; the world then reserves the rest of the grid and
+  // the control and payload words below in one step. RW backends are built
+  // whole and driven as exclusive locks through their write side.
   slots_ = std::vector<Slot>(static_cast<usize>(total_slots()) *
                              static_cast<usize>(planes()));
-  for (i32 plane = 0; plane < planes(); ++plane) {
-    for (u32 gs = 0; gs < total_slots(); ++gs) {
-      slots_[slot_index(plane, gs)].arena_base =
-          base + static_cast<WinOffset>(slot_index(plane, gs) *
-                                        words_per_slot_);
+  const usize base = world.window_words();
+  for (usize i = 0; i < slots_.size(); ++i) {
+    const i32 plane = static_cast<i32>(i / total_slots());
+    const u32 gs = static_cast<u32>(i % total_slots());
+    const Rank home = home_of_slot(static_cast<i32>(gs / spp),
+                                   static_cast<i32>(gs % spp), plane);
+    Slot& slot = slots_[i];
+    if (rw_capable()) {
+      std::unique_ptr<locks::RwLock> rw =
+          locks::make_rw(config_.backend, world, home);
+      slot.rw = rw.get();
+      slot.ex = locks::write_side(std::move(rw));
+    } else {
+      slot.ex = locks::make_exclusive(config_.backend, world, home);
+      slot.lease = dynamic_cast<locks::LeaseExclusive*>(slot.ex.get());
+    }
+    if (i == 0) {
+      words_per_slot_ = world.window_words() - base;
+      world.reserve(base + words_per_slot_ * slots_.size() + ctl_words +
+                    payload_words);
     }
   }
 
   // Per-shard migration control words, hosted on rank 0 (the directory
   // keeper): (epoch << 1) | migrating, starting quiescent at epoch 0.
   if (rehoming()) {
-    rehome_ctl_base_ = world.allocate(static_cast<usize>(num_shards_));
+    rehome_ctl_base_ = world.allocate(ctl_words);
     for (i32 s = 0; s < num_shards_; ++s) {
       world.write_word(0, ctl_offset(s), 0);
     }
     holds_.resize(static_cast<usize>(world.nprocs()));
   }
 
-  // Versioned-payload arena: reserved separately from the lock arena so
-  // backend footprints are unaffected. Fresh window words are zero, so
-  // every version starts even-quiescent.
+  // Versioned-payload arena, allocated after the slot grid so backend
+  // footprints are unaffected. Fresh window words are zero, so every
+  // version starts even-quiescent.
   if (config_.payload_words > 0) {
-    payload_stride_ = 1 + static_cast<usize>(config_.payload_words);
-    payload_base_ = world.allocate(payload_stride_ *
-                                   static_cast<usize>(total_slots()));
+    payload_base_ = world.allocate(payload_words);
   }
 }
 
@@ -203,39 +140,10 @@ std::vector<u64> LockSpace::distinct_slot_keys(i32 count) const {
   return keys;
 }
 
-void LockSpace::instantiate_slot(const LockRef& ref, i32 plane) {
+LockSpace::Slot& LockSpace::use_slot(const LockRef& ref, i32 plane) {
   Slot& slot = slots_[slot_index(plane, ref.global_slot)];
-  const Rank home = home_of_slot(ref.shard, ref.slot, plane);
-  SlotArena arena(world_, slot.arena_base, words_per_slot_);
-  if (rw_capable()) {
-    std::unique_ptr<locks::RwLock> rw =
-        locks::make_rw(config_.backend, arena, home);
-    slot.rw = rw.get();
-    slot.ex = locks::write_side(std::move(rw));
-  } else {
-    slot.ex = locks::make_exclusive(config_.backend, arena, home);
-    slot.lease = dynamic_cast<locks::LeaseExclusive*>(slot.ex.get());
-  }
-  // Consistency check against the construction-time probe: every instance
-  // of one backend must allocate identically (footprint depends only on
-  // the topology), or the arena ranges would drift.
-  RMALOCK_CHECK_MSG(
-      arena.window_words() ==
-          static_cast<usize>(slot.arena_base) + words_per_slot_,
-      "backend " << locks::backend_name(config_.backend)
-                 << " allocated a different footprint than the probe "
-                    "instance measured at construction");
-  instantiated_.fetch_add(1, std::memory_order_relaxed);
-  slot.ready.store(true, std::memory_order_release);
-}
-
-LockSpace::Slot& LockSpace::ensure_slot(const LockRef& ref, i32 plane) {
-  Slot& slot = slots_[slot_index(plane, ref.global_slot)];
-  if (slot.ready.load(std::memory_order_acquire)) return slot;
-  Shard& shard = *shards_[static_cast<usize>(ref.shard)];
-  const std::lock_guard<std::mutex> guard(shard.init_mutex);
-  if (!slot.ready.load(std::memory_order_relaxed)) {
-    instantiate_slot(ref, plane);
+  if (!slot.used.load(std::memory_order_relaxed)) {
+    slot.used.store(true, std::memory_order_release);
   }
   return slot;
 }
@@ -272,7 +180,7 @@ void LockSpace::acquire_slot(rma::RmaComm& comm, const LockRef& ref,
       continue;
     }
     const i32 plane = static_cast<i32>(ctl >> 1);
-    Slot& slot = ensure_slot(ref, plane);
+    Slot& slot = use_slot(ref, plane);
     if (shared && slot.rw != nullptr) {
       slot.rw->acquire_read(comm);
     } else {
@@ -316,7 +224,7 @@ void LockSpace::release_slot(rma::RmaComm& comm, const LockRef& ref,
     plane = it->second;
     stack.erase(std::next(it).base());
   }
-  Slot& slot = ensure_slot(ref, plane);
+  Slot& slot = use_slot(ref, plane);
   if (shared && slot.rw != nullptr) {
     slot.rw->release_read(comm);
   } else {
@@ -361,7 +269,7 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
       if ((ctl & 1) != 0) {
         // Migration in flight: retry with backoff inside the deadline.
         ++attempts;
-        if (attempts >= retry.max_attempts ||
+        if (attempts >= locks::RetryPolicy::kMaxAttempts ||
             comm.now_ns() >= deadline_ns) {
           record_timeout(ref.shard);
           return locks::AcquireResult{locks::AcquireStatus::kTimeout,
@@ -373,7 +281,7 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
       }
       plane = static_cast<i32>(ctl >> 1);
     }
-    Slot& slot = ensure_slot(ref, plane);
+    Slot& slot = use_slot(ref, plane);
     locks::AcquireResult result =
         slot.ex->try_acquire_for(comm, deadline_ns, retry);
     attempts += result.attempts;
@@ -386,7 +294,7 @@ locks::AcquireResult LockSpace::try_acquire_for(rma::RmaComm& comm, u64 key,
       // The migration fence (see acquire_slot).
       if (read_ctl(comm, ref.shard) != ctl) {
         slot.ex->release(comm);
-        if (attempts >= retry.max_attempts ||
+        if (attempts >= locks::RetryPolicy::kMaxAttempts ||
             comm.now_ns() >= deadline_ns) {
           record_timeout(ref.shard);
           return locks::AcquireResult{locks::AcquireStatus::kTimeout,
@@ -417,8 +325,8 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
   if (comm.cas((epoch << 1) | 1, ctl, 0, ctl_offset(shard_index)) != ctl) {
     return false;
   }
-  // Phase 2: drain the old plane — acquire and release every instantiated
-  // slot once, which serializes with every grant issued before the flip.
+  // Phase 2: drain the old plane — acquire and release every used slot
+  // once, which serializes with every grant issued before the flip.
   // Claimants granted on the old plane after this drain saw the pre-flip
   // control word and are deflected by the fence before entering their CS.
   const i32 plane = static_cast<i32>(epoch);
@@ -429,7 +337,7 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
                        static_cast<u32>(config_.slots_per_shard) +
                    static_cast<u32>(s);
     Slot& slot = slots_[slot_index(plane, gs)];
-    if (!slot.ready.load(std::memory_order_acquire)) continue;
+    if (!slot.used.load(std::memory_order_acquire)) continue;
     const locks::AcquireResult r =
         slot.ex->try_acquire_for(comm, deadline, drain_retry);
     if (r.status != locks::AcquireStatus::kAcquired) {
@@ -441,8 +349,8 @@ bool LockSpace::rehome_shard(rma::RmaComm& comm, i32 shard_index,
     }
     slot.ex->release(comm);
   }
-  // Phase 3: commit the bumped epoch; the successor plane (and home) is
-  // instantiated on first touch.
+  // Phase 3: commit the bumped epoch; the successor plane (and home) was
+  // built with the space.
   comm.put((epoch + 1) << 1, 0, ctl_offset(shard_index));
   comm.flush(0);
   return true;
@@ -587,16 +495,21 @@ LockSpace::OptimisticResult LockSpace::optimistic_read(rma::RmaComm& comm,
 
 u64 LockSpace::recover_orphans(rma::RmaComm& comm) {
   u64 reclaimed = 0;
-  // Lock-free sweep: `ready` is published with release ordering after the
-  // lease pointer is set, and reclaiming races regular claimants through a
-  // single CAS — so no shard mutex is needed (holding one across comm ops
-  // would wedge SimWorld's cooperative fibers anyway).
+  // Lock-free sweep: reclaiming races regular claimants through a single
+  // CAS, so the sweep needs no lock of its own.
   for (Slot& slot : slots_) {
-    if (!slot.ready.load(std::memory_order_acquire)) continue;
+    if (!slot.used.load(std::memory_order_acquire)) continue;
     if (slot.lease == nullptr) continue;
     if (slot.lease->recover_orphan(comm)) ++reclaimed;
   }
   return reclaimed;
+}
+
+u64 LockSpace::instantiated_slots() const {
+  return static_cast<u64>(
+      std::count_if(slots_.begin(), slots_.end(), [](const Slot& slot) {
+        return slot.used.load(std::memory_order_acquire);
+      }));
 }
 
 u64 LockSpace::total_acquires() const {
@@ -624,7 +537,7 @@ std::vector<LockSpace::ShardMetrics> LockSpace::metrics() const {
     for (i32 plane = 0; plane < planes(); ++plane) {
       for (i32 slot = 0; slot < config_.slots_per_shard; ++slot) {
         if (slots_[slot_index(plane, first + static_cast<u32>(slot))]
-                .ready.load(std::memory_order_acquire)) {
+                .used.load(std::memory_order_acquire)) {
           ++m.instantiated_slots;
         }
       }
@@ -638,7 +551,7 @@ std::string LockSpace::describe() const {
   out << "LockSpace<" << locks::backend_name(config_.backend) << "> "
       << num_shards_ << " shards x " << config_.slots_per_shard
       << " slots (" << total_slots() << " locks, " << words_per_slot_
-      << " words/slot, lazy)";
+      << " words/slot)";
   if (optimistic_capable()) {
     out << " + versioned payload (" << config_.payload_words
         << " words/slot)";

@@ -28,23 +28,19 @@
 // * Striping: two keys that collide on (shard, slot) share a physical lock.
 //   Mutual exclusion per key is preserved (the shared lock is simply
 //   coarser); cross-key concurrency is what slots_per_shard buys.
-// * Lazy instantiation: construction (collective, outside run()) reserves
-//   one window arena for the whole grid but builds no lock objects. A
-//   slot's backend instance is constructed on first touch — possibly mid
-//   run() — from its pre-reserved arena range. This is safe because window
-//   growth happened up front (SimWorld's waiter arena and ThreadWorld's
-//   atomic windows are already sized) and initialization writes target
-//   words no process has ever polled. In SimWorld the construction costs
-//   zero virtual time and adds no scheduling decisions, so replay and
-//   exhaustive enumeration are unaffected; in ThreadWorld first-touch is
-//   serialized per shard and published with release/acquire ordering.
+// * Eager construction: the constructor (collective, outside run(), like
+//   any lock constructor) builds every slot's backend instance against the
+//   world itself, plane by plane and global slot ascending, so each slot's
+//   words sit at a fixed offset of one contiguous grid and no lock is ever
+//   built inside run(). A per-slot `used` flag, set when an acquire first
+//   looks the slot up, keeps the working-set gauge (instantiated_slots) and
+//   limits the orphan sweep and the migration drain to slots ever used.
 // * Per-shard counters: read/write acquires and timed-acquire timeouts,
 //   exported per shard by metrics().
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,8 +66,8 @@ struct LockSpaceConfig {
   /// (optimistic_read / write_payload / locked_read). 0 = no versioned
   /// data area; the optimistic API is then unavailable. The payload arena
   /// (1 version word + payload_words data words per slot, on the shard's
-  /// home rank) is reserved separately from the lock arena, so backend
-  /// footprints are unaffected.
+  /// home rank) is allocated after the slot grid, so backend footprints
+  /// are unaffected.
   i32 payload_words = 0;
   /// PLANTED-BUG knob (MC verification only): skip the version
   /// re-validation read in optimistic_read, certifying torn observations.
@@ -89,7 +85,7 @@ struct LockSpaceConfig {
   /// Epoch-stamped re-homing: number of successor placements (slot planes)
   /// pre-reserved beyond the original one, so a gray shard can be migrated
   /// to a fresh home mid-run (rehome_shard). 0 = off. Exclusive backends
-  /// only. Each extra plane costs a full grid arena.
+  /// only. Each extra plane costs a full grid of instances.
   i32 rehome_epochs = 0;
   /// PLANTED-BUG knob (MC verification only): skip the post-acquire
   /// control-word re-validation — the fence that deflects a claimant whose
@@ -117,10 +113,9 @@ struct LockRef {
 
 class LockSpace {
  public:
-  /// Collective: reserves the window arena for every slot; backend
-  /// instances are constructed on first touch. Must run outside
-  /// World::run(), like any lock constructor. The world must outlive the
-  /// LockSpace.
+  /// Collective: builds the backend instance of every slot on every plane.
+  /// Must run outside World::run(), like any lock constructor. The world
+  /// must outlive the LockSpace.
   LockSpace(rma::World& world, LockSpaceConfig config);
 
   LockSpace(const LockSpace&) = delete;
@@ -175,7 +170,7 @@ class LockSpace {
 
   /// Migrates `shard` to its next epoch plane (fresh home rank, fresh slot
   /// instances). Two-phase: CAS the shard's control word to `migrating`
-  /// (new claimants wait), drain every instantiated old-plane slot by
+  /// (new claimants wait), drain every used old-plane slot by
   /// acquiring and releasing it once — bounded by `drain_budget_ns` of
   /// virtual time — then commit the bumped epoch. Returns false without
   /// migrating if the shard is already migrating, out of planes, the CAS
@@ -268,7 +263,7 @@ class LockSpace {
                                    usize n);
   static constexpr u32 kOptimisticRetries = 3;
 
-  /// Administrative recovery sweep: walks every instantiated slot whose
+  /// Administrative recovery sweep: walks every used slot whose
   /// backend is a LeaseExclusive and reclaims leases held by
   /// suspected-crashed owners, fencing each with a bumped epoch. Returns
   /// the number of orphaned leases reclaimed. Any rank may run the sweep
@@ -289,10 +284,9 @@ class LockSpace {
     return static_cast<u32>(num_shards_) *
            static_cast<u32>(config_.slots_per_shard);
   }
-  /// Slots whose backend instance has been constructed so far.
-  [[nodiscard]] u64 instantiated_slots() const {
-    return instantiated_.load(std::memory_order_relaxed);
-  }
+  /// Slots an acquire has looked up so far (granted or timed out), summed
+  /// over planes: the space's working set.
+  [[nodiscard]] u64 instantiated_slots() const;
   [[nodiscard]] std::string describe() const;
 
   // --- per-shard accounting ------------------------------------------------
@@ -317,8 +311,8 @@ class LockSpace {
     u64 read_acquires = 0;
     u64 timeouts = 0;
     bool quarantined = false;
-    /// Backend instances constructed on this shard, summed over planes
-    /// (lazy instantiation makes this a working-set gauge).
+    /// Slots of this shard an acquire has looked up, summed over planes
+    /// (the shard's working set).
     u64 instantiated_slots = 0;
   };
   /// Every shard's gauges in shard-index order (deterministic export).
@@ -327,7 +321,6 @@ class LockSpace {
  private:
   struct Shard {
     Rank home = 0;
-    std::mutex init_mutex;  // serializes first-touch construction
     std::atomic<u64> write_acquires{0};
     std::atomic<u64> read_acquires{0};
     // Health score of the leaf ranks hosting this shard's slots: cumulative
@@ -340,28 +333,22 @@ class LockSpace {
   };
 
   struct Slot {
-    std::atomic<bool> ready{false};
-    WinOffset arena_base = 0;
+    // Set when an acquire first looks the slot up; the working-set gauge.
+    std::atomic<bool> used{false};
     // The backend instance, driven through its write side (RW backends via
     // locks::write_side).
     std::unique_ptr<locks::ExclusiveLock> ex;
-    // Non-owning views, set before `ready` is published: the shared side of
-    // an RW backend (null on exclusive backends, whose readers serialize),
-    // and `ex` when the backend is lease-capable, so recover_orphans can
-    // sweep without casts.
+    // Non-owning views: the shared side of an RW backend (null on exclusive
+    // backends, whose readers serialize), and `ex` when the backend is
+    // lease-capable, so recover_orphans can sweep without casts.
     locks::RwLock* rw = nullptr;
     locks::LeaseExclusive* lease = nullptr;
   };
 
-  /// Returns the (plane, slot) backend instance, constructing it on first
-  /// touch. Plane 0 is the original placement; planes 1..rehome_epochs are
-  /// the pre-reserved migration successors.
-  Slot& ensure_slot(const LockRef& ref, i32 plane);
-
-  /// Builds the (plane, ref.global_slot) instance from its pre-reserved
-  /// arena range, homed at home_of_slot. Callers hold the shard's
-  /// init_mutex.
-  void instantiate_slot(const LockRef& ref, i32 plane);
+  /// Returns the (plane, slot) backend instance and marks it used. Plane 0
+  /// is the original placement; planes 1..rehome_epochs are the migration
+  /// successors.
+  Slot& use_slot(const LockRef& ref, i32 plane);
 
   [[nodiscard]] bool rehoming() const { return config_.rehome_epochs > 0; }
   [[nodiscard]] i32 planes() const { return config_.rehome_epochs + 1; }
@@ -395,7 +382,7 @@ class LockSpace {
   rma::World& world_;
   LockSpaceConfig config_;
   i32 num_shards_ = 0;
-  usize words_per_slot_ = 0;   // probed footprint of one instance
+  usize words_per_slot_ = 0;   // window footprint of one instance
   WinOffset payload_base_ = 0; // versioned-payload arena (when payload_words)
   usize payload_stride_ = 0;   // 1 version word + payload_words per slot
   WinOffset rehome_ctl_base_ = 0;  // per-shard control words (when rehoming)
@@ -405,7 +392,6 @@ class LockSpace {
   // finds the plane a grant landed on. Each rank only touches its own
   // stack. Maintained only when re-homing is enabled.
   std::vector<std::vector<std::pair<u32, i32>>> holds_;
-  std::atomic<u64> instantiated_{0};
 };
 
 }  // namespace rmalock::lockspace

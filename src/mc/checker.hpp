@@ -98,7 +98,7 @@ inline constexpr Nanos kAcquireTimeoutNs = 60'000;
 /// LivelockMonitor bound: cumulative attempts without an acquire before a
 /// rank is declared livelocked. Correct backoff stays ~an order of
 /// magnitude below; the no-backoff bug blows through it via the
-/// RetryPolicy::max_attempts valve.
+/// RetryPolicy::kMaxAttempts valve.
 inline constexpr u64 kLivelockBound = 128;
 
 /// Coordinates and replayable evidence of the first property violation.

@@ -242,7 +242,7 @@ class WallClockLeaseMonitor {
 /// clock via compute(), so the deadline expires after ~10 attempts and a
 /// round records a small, bounded count. A retry loop with no backoff
 /// freezes the clock — the deadline never expires, the loop spins to the
-/// RetryPolicy::max_attempts valve, and the cumulative count blows past any
+/// RetryPolicy::kMaxAttempts valve, and the cumulative count blows past any
 /// reasonable bound: that is a livelock, flagged when a rank exceeds
 /// `bound` attempts without ever acquiring. Relies on SimWorld's
 /// serialized execution, like CsMonitor.

@@ -183,6 +183,13 @@ void SimWorld::grow_windows(usize words) {
   waiter_heads_.resize(cells, -1);
 }
 
+void SimWorld::reserve(usize words) {
+  RMALOCK_CHECK_MSG(!running_, "reserve() while run() in flight");
+  const usize cells = words * static_cast<usize>(nprocs());
+  windows_.reserve(cells);
+  waiter_heads_.reserve(cells);
+}
+
 usize SimWorld::checked_cell(Rank rank, WinOffset offset) const {
   RMALOCK_CHECK_MSG(rank >= 0 && rank < nprocs() && offset >= 0 &&
                         static_cast<usize>(offset) < window_words(),
@@ -200,14 +207,6 @@ i64 SimWorld::read_word(Rank rank, WinOffset offset) const {
 
 void SimWorld::write_word(Rank rank, WinOffset offset, i64 value) {
   RMALOCK_CHECK(!running_);
-  windows_[checked_cell(rank, offset)] = value;
-}
-
-void SimWorld::init_word(Rank rank, WinOffset offset, i64 value) {
-  // Legal during run() for cells no process has touched (see world.hpp):
-  // the windows are pre-sized (arena reservation happened before run), the
-  // fiber engine is single-threaded, and an untouched cell has no waiters
-  // to wake and no poll snapshots to invalidate.
   windows_[checked_cell(rank, offset)] = value;
 }
 

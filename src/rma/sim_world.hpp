@@ -154,7 +154,7 @@ class SimWorld final : public World {
 
   [[nodiscard]] i64 read_word(Rank rank, WinOffset offset) const override;
   void write_word(Rank rank, WinOffset offset, i64 value) override;
-  void init_word(Rank rank, WinOffset offset, i64 value) override;
+  void reserve(usize words) override;
   [[nodiscard]] OpStats aggregate_stats() const override;
   void reset_stats();
 

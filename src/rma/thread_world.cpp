@@ -178,9 +178,12 @@ ThreadWorld::ThreadWorld(ThreadOptions opts)
 
 ThreadWorld::~ThreadWorld() = default;
 
+void ThreadWorld::reserve(usize words) { grow_windows(words); }
+
 void ThreadWorld::grow_windows(usize words) {
   RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
   for (auto& win : windows_) {
+    if (words <= win.size) continue;  // already reserved
     auto grown = std::make_unique<std::atomic<i64>[]>(words);
     for (usize i = 0; i < words; ++i) {
       grown[i].store(i < win.size ? win.words[i].load(std::memory_order_relaxed)

@@ -45,6 +45,7 @@ class ThreadWorld final : public World {
 
   [[nodiscard]] i64 read_word(Rank rank, WinOffset offset) const override;
   void write_word(Rank rank, WinOffset offset, i64 value) override;
+  void reserve(usize words) override;
   [[nodiscard]] OpStats aggregate_stats() const override;
 
   [[nodiscard]] const ThreadOptions& options() const { return opts_; }
@@ -54,7 +55,7 @@ class ThreadWorld final : public World {
 
   struct Window {
     std::unique_ptr<std::atomic<i64>[]> words;
-    usize size = 0;
+    usize size = 0;  // capacity: at least window_words()
   };
 
   void grow_windows(usize words) override;

@@ -106,6 +106,12 @@ class World {
 
   [[nodiscard]] usize window_words() const { return allocated_words_; }
 
+  /// Capacity hint: the windows are about to grow to `words` words per
+  /// rank through further allocate() calls, so a runtime can size its
+  /// storage once instead of regrowing it per call. No-op by default; like
+  /// allocate(), not during run().
+  virtual void reserve(usize /*words*/) {}
+
   /// Runs `body` on all P processes and waits for completion.
   virtual RunResult run(const std::function<void(RmaComm&)>& body) = 0;
 
@@ -113,16 +119,6 @@ class World {
   /// (not legal while run() is in flight).
   [[nodiscard]] virtual i64 read_word(Rank rank, WinOffset offset) const = 0;
   virtual void write_word(Rank rank, WinOffset offset, i64 value) = 0;
-
-  /// Initialization write for *pre-reserved, never-yet-accessed* window
-  /// cells: identical to write_word outside run(), and additionally legal
-  /// while run() is in flight — which is what lets LockSpace construct a
-  /// slot's lock lazily mid-run from its reserved arena range. Such writes
-  /// carry no virtual-time cost and wake no parked waiters; both are
-  /// vacuous because no process has ever read or polled the cell.
-  virtual void init_word(Rank rank, WinOffset offset, i64 value) {
-    write_word(rank, offset, value);
-  }
 
   /// Sum of the op statistics of all processes from completed runs.
   [[nodiscard]] virtual OpStats aggregate_stats() const = 0;
@@ -133,6 +129,8 @@ class World {
   virtual void grow_windows(usize words) = 0;
 
   topo::Topology topology_;
+
+ private:
   usize allocated_words_ = 0;
 };
 

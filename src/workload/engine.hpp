@@ -70,8 +70,8 @@ struct WorkloadResult {
   obs::LogHistogram latency_hist_us;
   obs::LogHistogram read_latency_hist_us;
   obs::LogHistogram write_latency_hist_us;
-  /// LockSpace slots instantiated by the end of the run (lazy-instantiation
-  /// observability: how much of the grid the key mix actually touched).
+  /// LockSpace slots granted at least once by the end of the run (the
+  /// working-set gauge: how much of the grid the key mix actually touched).
   u64 instantiated_slots = 0;
   /// Versioned-payload mode with optimistic_reads: reads that exhausted
   /// their retries and fell back to the read lock, and total optimistic

@@ -23,7 +23,10 @@ namespace {
 class BenchJson : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "bench_json_schema_test.json";
+    // One file per test: ctest runs these tests as parallel processes.
+    path_ = ::testing::TempDir() + "bench_json_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".json";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

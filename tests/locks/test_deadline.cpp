@@ -1,11 +1,10 @@
 // RetryPolicy / retry_until edge cases. delay_for's contract is "never
-// exceeds cap_ns, jitter included, and never trips UB": exponential doubling
-// up to the cap, attempt numbers past the shift guard, multi-millisecond
-// bases whose naive base << attempt would overflow i64, non-positive bases,
-// and the jittered excursion being clamped at the cap. Plus the retry_until
-// loop's contract (one attempt on an expired deadline, the max_attempts
-// valve on a frozen clock, backoff time exactly the drawn delays) and a
-// Backoff::pause escalation smoke.
+// exceeds kCapNs, jitter included, and never trips UB": exponential doubling
+// up to the cap, attempt numbers far past the cap (where a naive
+// kBaseNs << attempt would overflow i64), and the jittered excursion being
+// clamped at the cap. Plus the retry_until loop's contract (one attempt on
+// an expired deadline, the kMaxAttempts valve on a frozen clock, backoff
+// time exactly the drawn delays) and a Backoff::pause escalation smoke.
 #include "locks/deadline.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +16,6 @@
 namespace rmalock::locks {
 namespace {
 
-RetryPolicy no_jitter() {
-  RetryPolicy retry;
-  retry.jitter_permille = 0;
-  return retry;
-}
-
 TEST(RetryPolicy, NoBackoffMeansZeroDelay) {
   RetryPolicy retry;
   retry.backoff = false;
@@ -33,56 +26,40 @@ TEST(RetryPolicy, NoBackoffMeansZeroDelay) {
 }
 
 TEST(RetryPolicy, DoublesPerAttemptUpToTheCap) {
-  const RetryPolicy retry = no_jitter();  // base 500, cap 64'000
+  // Attempt k draws from the +-25% band around 500 * 2^k; from attempt 7
+  // on the center is the 64'000 cap and the band's upper half is clamped
+  // to it. Attempts far past the cap (where 500 << k would overflow) stay
+  // in the cap band.
+  const RetryPolicy retry;
   Xoshiro256 rng(2);
-  EXPECT_EQ(retry.delay_for(0, rng), 500);
-  EXPECT_EQ(retry.delay_for(1, rng), 1'000);
-  EXPECT_EQ(retry.delay_for(2, rng), 2'000);
-  EXPECT_EQ(retry.delay_for(6, rng), 32'000);
-  // 500 << 7 = 64'000 == cap; every later attempt stays pinned there.
-  for (u32 attempt = 7; attempt < 64; ++attempt) {
-    EXPECT_EQ(retry.delay_for(attempt, rng), 64'000) << attempt;
+  for (u32 attempt = 0; attempt < 7; ++attempt) {
+    const Nanos center = Nanos{500} << attempt;
+    for (i32 draw = 0; draw < 50; ++draw) {
+      const Nanos delay = retry.delay_for(attempt, rng);
+      EXPECT_GE(delay, center - center / 4) << attempt;
+      EXPECT_LE(delay, center + center / 4) << attempt;
+    }
   }
-}
-
-TEST(RetryPolicy, HugeBaseDoesNotOverflow) {
-  // base << attempt would overflow i64 from attempt 21 on even for small
-  // bases, and immediately for multi-millisecond ones. The safe-direction
-  // comparison must return the cap, not a shifted garbage value.
-  RetryPolicy retry = no_jitter();
-  retry.base_ns = i64{1} << 40;  // ~18 minutes
-  retry.cap_ns = 64'000;
-  Xoshiro256 rng(3);
-  for (const u32 attempt : {0u, 1u, 19u, 20u, 21u, 1000u, 0xffffffffu}) {
-    EXPECT_EQ(retry.delay_for(attempt, rng), 64'000) << attempt;
-  }
-}
-
-TEST(RetryPolicy, NonPositiveBaseFallsBackToTheCap) {
-  // Shifting a zero or negative i64 left is UB territory and a zero delay
-  // would spin the clock frozen (the livelock the backoff exists to
-  // avoid) — a degenerate base degrades to the cap instead.
-  for (const Nanos base : {Nanos{0}, Nanos{-500}}) {
-    RetryPolicy retry = no_jitter();
-    retry.base_ns = base;
-    Xoshiro256 rng(4);
-    for (u32 attempt = 0; attempt < 30; ++attempt) {
-      EXPECT_EQ(retry.delay_for(attempt, rng), retry.cap_ns) << base;
+  for (const u32 attempt : {7u, 8u, 20u, 21u, 1000u, 0xffffffffu}) {
+    for (i32 draw = 0; draw < 50; ++draw) {
+      const Nanos delay = retry.delay_for(attempt, rng);
+      EXPECT_GE(delay, 48'000) << attempt;
+      EXPECT_LE(delay, 64'000) << attempt;
     }
   }
 }
 
 TEST(RetryPolicy, JitterNeverEscapesZeroToCap) {
   // delay +- 25% jitter across every attempt and many draws: always within
-  // [0, cap_ns], never negative, never past the cap — the cap is the
+  // [0, kCapNs], never negative, never past the cap — the cap is the
   // caller's worst-case-latency promise that deadline math is built on.
-  const RetryPolicy retry;  // jitter_permille = 250
+  const RetryPolicy retry;
   Xoshiro256 rng(5);
   for (u32 attempt = 0; attempt < 24; ++attempt) {
     for (i32 draw = 0; draw < 200; ++draw) {
       const Nanos delay = retry.delay_for(attempt, rng);
       EXPECT_GE(delay, 0) << "attempt " << attempt;
-      EXPECT_LE(delay, retry.cap_ns) << "attempt " << attempt;
+      EXPECT_LE(delay, RetryPolicy::kCapNs) << "attempt " << attempt;
     }
   }
 }
@@ -119,14 +96,12 @@ TEST(RetryUntil, ExpiredDeadlineStillMakesExactlyOneAttempt) {
 }
 
 TEST(RetryUntil, FrozenClockStopsAtExactlyMaxAttempts) {
-  // The planted-livelock shape: without backoff the zero-latency model
-  // barely moves the clock, so the attempts valve ends the loop long
+  // The planted-livelock shape: without backoff an attempt that issues no
+  // RMA op never moves the clock, so the attempts valve ends the loop
   // before the deadline.
   auto world = test::make_sim(topo::Topology::uniform({}, 1));
-  const WinOffset word = world->allocate(1);
   RetryPolicy retry;
   retry.backoff = false;
-  retry.max_attempts = 7;
   u32 calls = 0;
   AcquireResult result{};
   Nanos elapsed = -1;
@@ -134,16 +109,13 @@ TEST(RetryUntil, FrozenClockStopsAtExactlyMaxAttempts) {
     const Nanos start = comm.now_ns();
     result = retry_until(comm, start + 1'000, retry, [&] {
       ++calls;
-      comm.accumulate(1, 0, word, rma::AccumOp::kSum);
-      comm.flush(0);
       return false;
     });
     elapsed = comm.now_ns() - start;
   });
-  EXPECT_EQ(calls, 7u);
-  EXPECT_EQ(world->read_word(0, word), 7);
+  EXPECT_EQ(calls, RetryPolicy::kMaxAttempts);
   EXPECT_EQ(result.status, AcquireStatus::kTimeout);
-  EXPECT_EQ(result.attempts, 7u);
+  EXPECT_EQ(result.attempts, RetryPolicy::kMaxAttempts);
   EXPECT_LT(elapsed, 1'000) << "the deadline, not the valve, fired";
 }
 

@@ -30,32 +30,32 @@ rma::SimOptions timed_options(const topo::Topology& topology, u64 seed) {
 }
 
 TEST(RetryPolicy, BackoffDoublesUpToTheCap) {
-  RetryPolicy policy;
-  policy.base_ns = 500;
-  policy.cap_ns = 8'000;
-  policy.jitter_permille = 0;  // exact delays
+  // Below the cap each attempt's jitter band sits wholly above the last
+  // one's (0.75 * 2d > 1.25 * d), so delays rise strictly whatever the
+  // draws; from the cap attempt on they never exceed kCapNs.
+  const RetryPolicy policy;
   Xoshiro256 rng(1);
-  EXPECT_EQ(policy.delay_for(0, rng), 500);
-  EXPECT_EQ(policy.delay_for(1, rng), 1'000);
-  EXPECT_EQ(policy.delay_for(2, rng), 2'000);
-  EXPECT_EQ(policy.delay_for(3, rng), 4'000);
-  EXPECT_EQ(policy.delay_for(4, rng), 8'000);
-  EXPECT_EQ(policy.delay_for(5, rng), 8'000) << "delay grew past the cap";
-  // Far attempts must not overflow the shift into a negative delay.
-  EXPECT_EQ(policy.delay_for(63, rng), 8'000);
+  Nanos previous = 0;
+  u32 attempt = 0;
+  for (; (RetryPolicy::kBaseNs << attempt) < RetryPolicy::kCapNs; ++attempt) {
+    const Nanos delay = policy.delay_for(attempt, rng);
+    EXPECT_GT(delay, previous) << "attempt " << attempt;
+    previous = delay;
+  }
+  EXPECT_EQ(attempt, 7u);
+  for (const u32 far : {attempt, attempt + 1, 63u}) {
+    EXPECT_LE(policy.delay_for(far, rng), RetryPolicy::kCapNs)
+        << "delay grew past the cap at attempt " << far;
+  }
 }
 
 TEST(RetryPolicy, JitterStaysWithinItsAmplitude) {
-  RetryPolicy policy;
-  policy.base_ns = 1'000;
-  policy.jitter_permille = 250;
+  const RetryPolicy policy;
   Xoshiro256 rng(7);
   for (u32 attempt = 0; attempt < 8; ++attempt) {
-    RetryPolicy exact = policy;
-    exact.jitter_permille = 0;
-    Xoshiro256 unused(1);
-    const Nanos center = exact.delay_for(attempt, unused);
-    const Nanos span = center / 4;  // 250 permille
+    const Nanos center = attempt < 7 ? RetryPolicy::kBaseNs << attempt
+                                     : RetryPolicy::kCapNs;
+    const Nanos span = center * RetryPolicy::kJitterPermille / 1000;
     for (i32 i = 0; i < 20; ++i) {
       const Nanos delay = policy.delay_for(attempt, rng);
       EXPECT_GE(delay, center - span);

@@ -1,8 +1,8 @@
 // LockSpace unit tests: the O(1) owner-computes directory, topology-aware
-// shard homing, the exact per-slot window footprint of every backend, lazy
-// instantiation (including mid-run first touch on both worlds), per-shard
-// accounting, the versioned payload, orphan recovery, and re-homing on the
-// blocking grant path.
+// shard homing, the exact per-slot window footprint of every backend, eager
+// construction of every slot before any run, the working-set gauge (on both
+// worlds), per-shard accounting, the versioned payload, orphan recovery, and
+// re-homing on the blocking grant path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,9 +159,9 @@ usize slot_words(locks::Backend backend, usize n) {
 }
 
 TEST(LockSpaceFootprint, EveryBackendMatchesItsSlotWordsTable) {
-  // The world-level arithmetic pins the probed reservation against the
-  // reference table; touching all six slots runs the per-instance
-  // footprint CHECK in each.
+  // The construction's window growth pins every backend's per-instance
+  // footprint against the reference table (six slots, one instance each);
+  // granting all six then counts each in the working-set gauge.
   const topo::Topology topology = topo::Topology::uniform({2, 2}, 2);  // N=3
   for (const locks::Backend backend : locks::all_backends()) {
     auto world = rma::SimWorld::create(sim_options(topology));
@@ -185,7 +185,29 @@ TEST(LockSpaceFootprint, EveryBackendMatchesItsSlotWordsTable) {
   }
 }
 
-TEST(LockSpaceLazy, SlotsInstantiateOnFirstTouchMidRun) {
+TEST(LockSpaceConstruction, EverySlotIsBuiltBeforeAnyRun) {
+  // Construction alone initializes every slot's words on every rank: an
+  // RMA-MCS instance's NEXT and TAIL words start at kNilRank and its
+  // STATUS word at kStatusWait, all -1, where a fresh window word is 0.
+  // No slot has been granted yet, so the working-set gauge reads 0.
+  auto world = rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
+  const usize before = world->window_words();
+  lockspace::LockSpaceConfig config;
+  config.shards = 2;
+  config.slots_per_shard = 3;
+  config.backend = locks::Backend::kRmaMcs;
+  lockspace::LockSpace space(*world, config);
+  ASSERT_GT(world->window_words(), before);
+  for (Rank rank = 0; rank < world->nprocs(); ++rank) {
+    for (usize offset = before; offset < world->window_words(); ++offset) {
+      EXPECT_EQ(world->read_word(rank, static_cast<WinOffset>(offset)), -1)
+          << "rank " << rank << ", offset " << offset;
+    }
+  }
+  EXPECT_EQ(space.instantiated_slots(), 0u);
+}
+
+TEST(LockSpaceWorkingSet, CountsSlotsAtTheirFirstGrant) {
   auto world = rma::SimWorld::create(sim_options(topo::Topology::uniform({2}, 2)));
   lockspace::LockSpaceConfig config;
   config.slots_per_shard = 4;
@@ -201,7 +223,7 @@ TEST(LockSpaceLazy, SlotsInstantiateOnFirstTouchMidRun) {
   world->run([&](rma::RmaComm& comm) {
     space.acquire(comm, key_a);
     space.release(comm, key_a);
-    space.acquire(comm, key_a);  // same key: no new instantiation
+    space.acquire(comm, key_a);  // same key: the gauge does not move
     space.release(comm, key_a);
   });
   EXPECT_EQ(space.instantiated_slots(), 1u);
@@ -212,15 +234,15 @@ TEST(LockSpaceLazy, SlotsInstantiateOnFirstTouchMidRun) {
   EXPECT_EQ(space.instantiated_slots(), 2u);
 }
 
-TEST(LockSpaceLazy, ThreadWorldFirstTouchRaceIsSerialized) {
+TEST(LockSpaceWorkingSet, ConcurrentFirstGrantsOnThreadWorld) {
   rma::ThreadOptions opts;
   opts.topology = topo::Topology::uniform({2}, 4);  // 8 real threads
   auto world = rma::ThreadWorld::create(std::move(opts));
   lockspace::LockSpaceConfig config;
   config.slots_per_shard = 4;
   lockspace::LockSpace space(*world, config);
-  // All threads hammer the same small key set concurrently: first touch
-  // races on every slot, the shard mutex must serialize construction.
+  // All threads hammer the same small key set concurrently, so first
+  // grants race on every slot; each slot still counts once in the gauge.
   const i32 acquires = 20;
   world->run([&](rma::RmaComm& comm) {
     for (i32 i = 0; i < acquires; ++i) {

@@ -85,7 +85,7 @@ TEST(SimWorldGray, PartitionStallsBlockingOpsUntilTheWindowCloses) {
   opts.partition_span = kSpan;
   auto world = SimWorld::create(std::move(opts));
   const WinOffset off = world->allocate(1);
-  world->init_word(1, off, 42);
+  world->write_word(1, off, 42);
   i64 value = 0;
   Nanos after = 0;
   const RunResult result = world->run([&](RmaComm& comm) {
@@ -109,7 +109,7 @@ TEST(SimWorldGray, TryOpsFailFastAgainstAPartitionedTarget) {
   opts.partition_span = kSpan;
   auto world = SimWorld::create(std::move(opts));
   const WinOffset off = world->allocate(1);
-  world->init_word(1, off, 42);
+  world->write_word(1, off, 42);
   const RunResult result = world->run([&](RmaComm& comm) {
     if (comm.rank() != 0) return;
     // First attempt opens the partition; the window outlives the deadline,
@@ -141,7 +141,7 @@ TEST(SimWorldGray, TryOpsNeverParkOnAnUnchangedWord) {
     opts.abort_on_deadlock = false;
     auto world = SimWorld::create(std::move(opts));
     const WinOffset off = world->allocate(1);
-    world->init_word(1, off, 7);
+    world->write_word(1, off, 7);
     i32 answered = 0;
     const RunResult result = world->run([&](RmaComm& comm) {
       if (comm.rank() != 0) return;

@@ -94,8 +94,6 @@ TEST(SimWorldDeathTest, DirectWordAccessIsBoundsChecked) {
   EXPECT_DEATH((void)world->read_word(-1, 0), "outside 2 ranks x 2 words");
   EXPECT_DEATH(world->write_word(2, 0, 1), "outside 2 ranks x 2 words");
   EXPECT_DEATH(world->write_word(0, -1, 1), "outside 2 ranks x 2 words");
-  EXPECT_DEATH(world->init_word(1, 2, 1), "outside 2 ranks x 2 words");
-  EXPECT_DEATH(world->init_word(2, 1, 1), "outside 2 ranks x 2 words");
 }
 
 TEST(SimWorld, PutAndGetRoundTrip) {
