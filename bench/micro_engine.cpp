@@ -9,6 +9,8 @@
 //   virtual-time  the benchmark configuration: kVirtualTime scheduling over
 //                 the paper's topology, RMA-MCS under ECSB-style load, P
 //                 swept like the figures (RMALOCK_PS applies);
+//   ready-queue   the scheduling layer of that configuration alone: one
+//                 ReadyHeap::replace_top per context switch, P = 64..1024;
 //   replay        the counterexample-reproduction configuration: kReplay
 //                 re-execution of one recorded kRandom schedule, repeated —
 //                 the path the shrinker and --replay hammer;
@@ -26,18 +28,22 @@
 // Metrics: engine_msteps_per_s (million scheduling-point steps / wall s),
 // sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, for
 // mc-churn/task-pool worlds_per_s (plus speedup_vs_j1 for the parallel
-// pool), and for world-build build_ms and worlds_per_s. Run with --json
+// pool), for world-build build_ms and worlds_per_s, and for ready-queue
+// ns_per_decision (wall ns per scheduling decision). Run with --json
 // BENCH_micro_engine.json and compare records across revisions
 // (docs/PERF.md).
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "harness/bench_common.hpp"
 #include "harness/task_pool.hpp"
 #include "locks/rma_mcs.hpp"
 #include "locks/rma_rw.hpp"
+#include "rma/ready_heap.hpp"
 #include "rma/sim_world.hpp"
 
 namespace {
@@ -101,6 +107,44 @@ int main(int argc, char** argv) {
     const i32 acquires = env.ops_for(p, /*total_target=*/60'000);
     const EngineRun run = run_lock_loop(*world, acquires);
     add_rates(report, "virtual-time/rma-mcs", p, run);
+  }
+
+  // --- ready-queue: the scheduling layer alone ----------------------------
+  {
+    // A kVirtualTime context switch is one ReadyHeap::replace_top: the
+    // yielding process, its clock advanced by an op's cost, takes the
+    // place of the minimum, which runs next. Timing that loop alone gives
+    // the scheduling share of engine wall time per decision. Its cost grows
+    // with log2 P, so the series covers the figures' P range whatever the
+    // sweep; costs are drawn before the clock starts.
+    const i32 decisions = env.smoke ? 200'000 : 2'000'000;
+    std::array<Nanos, 4096> costs{};
+    bool ordered = true;
+    for (const i32 p : {64, 128, 256, 512, 1024}) {
+      Xoshiro256 rng(mix_seed(env.seed, static_cast<u64>(p)));
+      for (Nanos& cost : costs) cost = rng.range(500, 3000);
+      rma::ReadyHeap heap;
+      for (Rank r = 1; r < p; ++r) heap.push({rng.range(0, 3000), r});
+      rma::ReadyHeap::Entry running{0, 0};
+      const Timer timer;
+      for (i32 d = 0; d < decisions; ++d) {
+        running.clock += costs[static_cast<usize>(d) % costs.size()];
+        running = heap.replace_top(running);
+      }
+      const Nanos wall_ns = timer.elapsed_ns();
+      report.add("ready-queue", p, "ns_per_decision",
+                 static_cast<double>(wall_ns) / decisions);
+      // Drain the heap: the timed loop's result is used, and the order it
+      // left behind is checked.
+      while (!heap.empty()) {
+        const rma::ReadyHeap::Entry next = heap.pop();
+        ordered = ordered && !rma::ReadyHeap::before(next, running);
+        running = next;
+      }
+    }
+    report.check("ready-queue pops in (clock, rank) order", ordered,
+                 "after the timed replace_top loop, draining each heap "
+                 "yields non-decreasing (clock, rank) entries");
   }
 
   // --- world-build: set-up cost, no run -----------------------------------

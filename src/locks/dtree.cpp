@@ -20,16 +20,9 @@ DistributedTree::DistributedTree(rma::World& world, topo::Topology topology,
   status_.reserve(static_cast<usize>(n));
   tail_.reserve(static_cast<usize>(n));
   for (i32 q = 1; q <= n; ++q) {
-    next_.push_back(world.allocate(1));
-    status_.push_back(world.allocate(1));
-    tail_.push_back(world.allocate(1));
-  }
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    for (i32 q = 1; q <= n; ++q) {
-      world.write_word(r, next_offset(q), kNilRank);
-      world.write_word(r, status_offset(q), kStatusWait);
-      world.write_word(r, tail_offset(q), kNilRank);
-    }
+    next_.push_back(world.allocate(1, kNilRank));
+    status_.push_back(world.allocate(1, kStatusWait));
+    tail_.push_back(world.allocate(1, kNilRank));
   }
 }
 

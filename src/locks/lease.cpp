@@ -14,10 +14,7 @@ LeaseExclusive::LeaseExclusive(rma::World& world,
                     "lease owner field holds ranks up to "
                         << ((1 << kOwnerBits) - 2) << ", world has "
                         << world.nprocs());
-  lease_ = world.allocate(1);
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, lease_, pack(0, kNilRank));
-  }
+  lease_ = world.allocate(1, pack(0, kNilRank));
 }
 
 i64 LeaseExclusive::pack(i64 epoch, Rank owner) {

@@ -23,10 +23,6 @@ RmaRw::RmaRw(rma::World& world, RmaRwParams params)
   RMALOCK_CHECK_MSG(params_.tr >= 1, "T_R must be >= 1");
   RMALOCK_CHECK_MSG(params_.tr < kWriteFlagThreshold / 2,
                     "T_R too large for the WRITE-flag encoding");
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, arrive_, 0);
-    world.write_word(r, depart_, 0);
-  }
 }
 
 // ---------------------------------------------------------------------------

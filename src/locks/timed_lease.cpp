@@ -12,10 +12,7 @@ TimedLease::TimedLease(rma::World& world, TimedLeaseParams params)
                     "lease owner field holds ranks up to "
                         << ((1 << LeaseExclusive::kOwnerBits) - 2)
                         << ", world has " << world.nprocs());
-  lease_ = world.allocate(1);
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, lease_, pack(0, kNilRank));
-  }
+  lease_ = world.allocate(1, pack(0, kNilRank));
 }
 
 i64 TimedLease::probe(rma::RmaComm& comm) const {

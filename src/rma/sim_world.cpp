@@ -174,12 +174,13 @@ SimWorld::~SimWorld() {
   }
 }
 
-void SimWorld::grow_windows(usize words) {
+void SimWorld::grow_windows(WinOffset /*first*/, i64 init) {
   RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
   // Offset-major cells: the new words are appended rows, so every earlier
-  // word and waiter head keeps its index.
-  const usize cells = words * static_cast<usize>(nprocs());
-  windows_.resize(cells, 0);
+  // word and waiter head keeps its index, and the appended rows are
+  // exactly the words from `first` on (reserve() adds capacity, not rows).
+  const usize cells = window_words() * static_cast<usize>(nprocs());
+  windows_.resize(cells, init);
   waiter_heads_.resize(cells, -1);
 }
 
@@ -239,7 +240,7 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
   barrier_ranks_.clear();
   const i32 p = nprocs();
   unfinished_ = p;
-  ready_heap_ = {};
+  ready_heap_.clear();
   ready_list_.clear();
   replay_pos_ = 0;
   sched_rng_ = Xoshiro256(mix_seed(opts_.seed, 0xface5eedULL));
@@ -294,7 +295,7 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
     }
     proc.fiber.init(proc.stack.get(), opts_.fiber_stack_bytes, &fiber_entry);
     if (opts_.policy == SchedPolicy::kVirtualTime) {
-      ready_heap_.push(HeapEntry{proc.clock, r});
+      ready_heap_.push({proc.clock, r});
     } else {
       ready_list_.push_back(r);
     }
@@ -390,12 +391,7 @@ void SimWorld::finish_proc(Rank rank) {
 Rank SimWorld::pick_next() {
   if (opts_.policy == SchedPolicy::kVirtualTime) {
     if (ready_heap_.empty()) return kNilRank;
-    const HeapEntry top = ready_heap_.top();
-    ready_heap_.pop();
-    Proc& proc = *procs_[static_cast<usize>(top.rank)];
-    RMALOCK_DCHECK(proc.state == ProcState::kRunnable);
-    proc.state = ProcState::kRunning;
-    return top.rank;
+    return start_running(ready_heap_.pop().rank);
   }
   if (ready_list_.empty()) return kNilRank;
   usize idx = 0;
@@ -415,6 +411,10 @@ Rank SimWorld::pick_next() {
   if (opts_.record_schedule) result_.schedule.picks.push_back(rank);
   ready_list_[idx] = ready_list_.back();
   ready_list_.pop_back();
+  return start_running(rank);
+}
+
+Rank SimWorld::start_running(Rank rank) {
   Proc& proc = *procs_[static_cast<usize>(rank)];
   RMALOCK_DCHECK(proc.state == ProcState::kRunnable);
   proc.state = ProcState::kRunning;
@@ -453,7 +453,7 @@ void SimWorld::make_runnable(Proc& proc, Rank rank) {
   }
   proc.state = ProcState::kRunnable;
   if (opts_.policy == SchedPolicy::kVirtualTime) {
-    ready_heap_.push(HeapEntry{proc.clock, rank});
+    ready_heap_.push({proc.clock, rank});
   } else {
     ready_list_.push_back(rank);
   }
@@ -461,23 +461,25 @@ void SimWorld::make_runnable(Proc& proc, Rank rank) {
 
 void SimWorld::yield_cpu(Rank origin) {
   Proc& self = *procs_[static_cast<usize>(origin)];
-  // Fast path: in virtual-time mode, keep running if we are still ahead of
-  // (or tied with, by rank) every runnable process — avoids a push/pop pair.
+  Rank next = kNilRank;
   if (opts_.policy == SchedPolicy::kVirtualTime) {
-    if (ready_heap_.empty()) return;
-    const HeapEntry& top = ready_heap_.top();
-    if (top.clock > self.clock ||
-        (top.clock == self.clock && top.rank > origin)) {
+    // Keep running while still ahead of (or tied with, by rank) every
+    // runnable process. Otherwise the minimum runs next and we take its
+    // place in the heap, in one sift-down.
+    const ReadyHeap::Entry self_entry{self.clock, origin};
+    if (ready_heap_.empty() ||
+        !ReadyHeap::before(ready_heap_.top(), self_entry)) {
       return;
     }
-    ready_heap_.push(HeapEntry{self.clock, origin});
+    self.state = ProcState::kRunnable;
+    next = start_running(ready_heap_.replace_top(self_entry).rank);
   } else {
     ready_list_.push_back(origin);
+    self.state = ProcState::kRunnable;
+    next = pick_next();
+    RMALOCK_DCHECK(next != kNilRank);  // at least `origin` is schedulable
+    if (next == origin) return;        // picked ourselves: keep running
   }
-  self.state = ProcState::kRunnable;
-  const Rank next = pick_next();
-  RMALOCK_DCHECK(next != kNilRank);  // at least `origin` is schedulable
-  if (next == origin) return;        // picked ourselves: keep running
   switch_to_proc(self.fiber, next);
   check_stop(origin);
 }

@@ -57,7 +57,6 @@
 #include <bit>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -66,6 +65,7 @@
 #include "rma/faults.hpp"
 #include "rma/fiber.hpp"
 #include "rma/latency_model.hpp"
+#include "rma/ready_heap.hpp"
 #include "rma/world.hpp"
 
 namespace rmalock::obs {
@@ -218,14 +218,6 @@ class SimWorld final : public World {
     OpStats stats;
   };
 
-  struct HeapEntry {
-    Nanos clock;
-    Rank rank;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      return a.clock != b.clock ? a.clock > b.clock : a.rank > b.rank;
-    }
-  };
-
   /// Thrown through user code to unwind a stopping run. Lock bodies are
   /// exception-transparent (RAII only), so this is safe.
   struct StopRun {};
@@ -239,7 +231,7 @@ class SimWorld final : public World {
     return rma::fault_pick(kind, nprocs(), subject);
   }
 
-  void grow_windows(usize words) override;
+  void grow_windows(WinOffset first, i64 init) override;
 
   // --- fiber plumbing ------------------------------------------------------
   static void fiber_entry();
@@ -347,6 +339,8 @@ class SimWorld final : public World {
 
   /// Picks the next process to run; kNilRank if no one is runnable.
   Rank pick_next();
+  /// Marks `rank`, just taken off the ready queue, as running; returns it.
+  Rank start_running(Rank rank);
   /// pick_next(), force-waking parked processes (handle_no_runnable) when
   /// no one is runnable; CHECKs that someone then is.
   Rank pick_or_force_wake();
@@ -460,9 +454,8 @@ class SimWorld final : public World {
   i32 waiter_free_ = -1;  // free list threaded through WaiterNode::next
 
   // Scheduler state (valid during run()).
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      ready_heap_;                  // kVirtualTime
-  std::vector<Rank> ready_list_;    // kRandom / kPct
+  ReadyHeap ready_heap_;          // kVirtualTime
+  std::vector<Rank> ready_list_;  // kRandom / kPct / kReplay
   Xoshiro256 sched_rng_{0};
   std::vector<u64> pct_change_steps_;
   usize pct_next_change_ = 0;  // index of the next unfired change point

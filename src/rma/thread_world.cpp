@@ -178,20 +178,29 @@ ThreadWorld::ThreadWorld(ThreadOptions opts)
 
 ThreadWorld::~ThreadWorld() = default;
 
-void ThreadWorld::reserve(usize words) { grow_windows(words); }
-
-void ThreadWorld::grow_windows(usize words) {
-  RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
+void ThreadWorld::reserve(usize words) {
+  RMALOCK_CHECK_MSG(!running_, "reserve() while run() in flight");
   for (auto& win : windows_) {
     if (words <= win.size) continue;  // already reserved
+    // Value-initialised (zero) beyond the copied prefix; allocate() writes
+    // each word's start value when it hands the word out.
     auto grown = std::make_unique<std::atomic<i64>[]>(words);
-    for (usize i = 0; i < words; ++i) {
-      grown[i].store(i < win.size ? win.words[i].load(std::memory_order_relaxed)
-                                  : 0,
+    for (usize i = 0; i < win.size; ++i) {
+      grown[i].store(win.words[i].load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
     }
     win.words = std::move(grown);
     win.size = words;
+  }
+}
+
+void ThreadWorld::grow_windows(WinOffset first, i64 init) {
+  RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
+  reserve(window_words());
+  for (auto& win : windows_) {
+    for (usize i = static_cast<usize>(first); i < window_words(); ++i) {
+      win.words[i].store(init, std::memory_order_relaxed);
+    }
   }
 }
 

@@ -58,7 +58,7 @@ class ThreadWorld final : public World {
     usize size = 0;  // capacity: at least window_words()
   };
 
-  void grow_windows(usize words) override;
+  void grow_windows(WinOffset first, i64 init) override;
 
   [[nodiscard]] std::atomic<i64>& word(Rank rank, WinOffset offset) {
     return windows_[static_cast<usize>(rank)]

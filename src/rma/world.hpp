@@ -94,13 +94,15 @@ class World {
   [[nodiscard]] const topo::Topology& topology() const { return topology_; }
   [[nodiscard]] i32 nprocs() const { return topology_.nprocs(); }
 
-  /// Collectively allocates `words` consecutive window words on every rank
-  /// and returns their base offset (same on all ranks, like an MPI window
-  /// created over a symmetric heap). Must not be called during run().
-  WinOffset allocate(usize words) {
+  /// Collectively allocates `words` consecutive window words on every rank,
+  /// each starting at `init`, and returns their base offset (same on all
+  /// ranks, like an MPI window created over a symmetric heap). Earlier words
+  /// keep their values. A structure whose words all start at one value needs
+  /// no write_word pass over the ranks. Must not be called during run().
+  WinOffset allocate(usize words, i64 init = 0) {
     const WinOffset base = static_cast<WinOffset>(allocated_words_);
     allocated_words_ += words;
-    grow_windows(allocated_words_);
+    grow_windows(base, init);
     return base;
   }
 
@@ -126,7 +128,9 @@ class World {
  protected:
   explicit World(topo::Topology topology) : topology_(std::move(topology)) {}
 
-  virtual void grow_windows(usize words) = 0;
+  /// Extends every rank's window to window_words() words: the words from
+  /// `first` on are new and start at `init`, earlier words are untouched.
+  virtual void grow_windows(WinOffset first, i64 init) = 0;
 
   topo::Topology topology_;
 

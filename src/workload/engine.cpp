@@ -58,7 +58,6 @@ WorkloadResult run_workload(rma::World& world, lockspace::LockSpace& space,
   // Payload word: one per rank; the holder touches the word of the key's
   // shard home, so payload traffic follows lock placement.
   const WinOffset payload = world.allocate(1);
-  for (Rank r = 0; r < nprocs; ++r) world.write_word(r, payload, 0);
 
   std::vector<PerProc> per(static_cast<usize>(nprocs));
   for (PerProc& proc : per) proc.snapshot.assign(payload_words, 0);
