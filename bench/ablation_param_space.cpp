@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
           config.workload = Workload::kSob;
           config.ops_per_proc = ops;
           config.fw = 0.05;
-          const auto result = harness::run_rw_bench(*world, lock, config);
+          const auto result = harness::run_lock_bench(*world, lock, config);
           FigureReport::SeriesPoint point;
           point.series = "TDC=" + std::to_string(tdc) +
                          ",TL=" + std::to_string(tl) +

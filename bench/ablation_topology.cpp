@@ -23,7 +23,7 @@ harness::BenchResult run_with_model(
   MicrobenchConfig config;
   config.workload = Workload::kEcsb;
   config.ops_per_proc = env.ops_for(p, 8000);
-  return harness::run_exclusive_bench(*world, *lock, config);
+  return harness::run_lock_bench(*world, *lock, config);
 }
 
 }  // namespace

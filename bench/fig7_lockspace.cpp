@@ -314,9 +314,9 @@ int main(int argc, char** argv) {
         "Zipf 1.2 concentrates writes on few slots (10% tolerance)");
   }
   report.check(
-      "lazy instantiation touches a fraction of the grid at small K",
+      "small K still looks up slots",
       report.value("K=1024", pmax, "instantiated_slots") > 0.0,
-      "small key spaces must still instantiate slots on demand");
+      "K=1024 looks up at least one slot at max P");
   report.print();
   return 0;  // report-only, like the other figure benches; tests/ asserts
 }

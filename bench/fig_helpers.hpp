@@ -72,7 +72,7 @@ inline BenchResult measure_exclusive_point(
   MicrobenchConfig config;
   config.workload = workload;
   config.ops_per_proc = env.ops_for(p, total_ops);
-  return harness::run_exclusive_bench(*world, *lock, config);
+  return harness::run_lock_bench(*world, *lock, config);
 }
 
 /// Virtual measurement window for RW benchmarks at process count p: sized
@@ -107,7 +107,7 @@ inline BenchResult measure_rw_point(
                                                 : rw_duration_ns(env, p);
   config.fw = fw;
   config.role_mode = role_mode;
-  return harness::run_rw_bench(*world, *lock, config);
+  return harness::run_lock_bench(*world, *lock, config);
 }
 
 /// One sweep point: a label and a measurement closure. The closure runs on

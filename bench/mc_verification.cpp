@@ -224,23 +224,15 @@ i32 two_keys_above_p2(i32 nprocs) { return nprocs <= 2 ? 1 : 2; }
 const std::vector<Registered>& registry() {
   static const std::vector<Registered> table = [] {
     using locks::Backend;
-    const mc::ExclusiveLockFactory rw_write_side =
-        [](rma::World& world) -> std::unique_ptr<locks::ExclusiveLock> {
-      return locks::write_side(rma_rw_lock()(world));
-    };
-    const mc::ExclusiveLockFactory lease_mcs =
-        [](rma::World& world) -> std::unique_ptr<locks::ExclusiveLock> {
-      return lease_lock(Backend::kRmaMcs, /*fence=*/true)(world);
-    };
     locks::RetryPolicy no_backoff;
     no_backoff.backoff = false;
     return std::vector<Registered>{
-        {"rw:rma-rw", unkeyed(mc::rw_workload(rma_rw_lock()))},
+        {"rw:rma-rw", unkeyed(mc::lock_workload(rma_rw_lock()))},
         {"rw:rma-rw-fixed-reset",
-         unkeyed(mc::rw_workload(reader_reset_rw_lock(false)))},
+         unkeyed(mc::lock_workload(reader_reset_rw_lock(false)))},
         {"rw:rma-rw-faithful-reset",
-         unkeyed(mc::rw_workload(reader_reset_rw_lock(true))), "mutex"},
-        {"ex:rma-mcs", unkeyed(mc::exclusive_workload(rma_mcs_lock()))},
+         unkeyed(mc::lock_workload(reader_reset_rw_lock(true))), "mutex"},
+        {"ex:rma-mcs", unkeyed(mc::lock_workload(rma_mcs_lock()))},
         {"lease:mcs",
          unkeyed(mc::lease_workload(lease_lock(Backend::kRmaMcs, true)))},
         {"lease:rw",
@@ -249,8 +241,9 @@ const std::vector<Registered>& registry() {
          unkeyed(mc::lease_workload(lease_lock(Backend::kRmaMcs, false))),
          "mutex"},
         {"timeout:rma-mcs", unkeyed(mc::timeout_workload(rma_mcs_lock()))},
-        {"timeout:rma-rw", unkeyed(mc::timeout_workload(rw_write_side))},
-        {"timeout:lease-mcs", unkeyed(mc::timeout_workload(lease_mcs))},
+        {"timeout:rma-rw", unkeyed(mc::timeout_workload(rma_rw_lock()))},
+        {"timeout:lease-mcs",
+         unkeyed(mc::timeout_workload(lease_lock(Backend::kRmaMcs, true)))},
         {"timeout:no-backoff", unkeyed(mc::timeout_workload(rma_mcs_lock())),
          "livelock", no_backoff},
         {"ls:rma-mcs", keyed(mc::lockspace_workload,

@@ -126,7 +126,7 @@ double run_store(const char* name, Regime regime) {
       static_cast<double>(finish[0]) * 1e3;
   std::printf("%-38s %10.3f ms   %8.2f mln ops/s", name, ms, mops);
   if (space != nullptr) {
-    std::printf("   (%llu named locks instantiated)",
+    std::printf("   (%llu named locks used)",
                 static_cast<unsigned long long>(space->instantiated_slots()));
   }
   u64 drops = 0;

@@ -36,7 +36,7 @@ double measure(const topo::Topology& topo, i32 tdc, i64 tl_leaf, i64 tl_root,
   config.workload = harness::Workload::kSob;
   config.ops_per_proc = kOpsPerProc;
   config.fw = kWriterFraction;
-  return harness::run_rw_bench(*world, lock, config).throughput_mlocks_s;
+  return harness::run_lock_bench(*world, lock, config).throughput_mlocks_s;
 }
 
 }  // namespace

@@ -8,21 +8,14 @@ DistributedHashTable::DistributedHashTable(rma::World& world, DhtConfig config)
     : config_(config), nprocs_(world.nprocs()) {
   RMALOCK_CHECK(config_.table_buckets >= 1);
   RMALOCK_CHECK(config_.heap_entries >= 1);
+  const usize buckets = static_cast<usize>(config_.table_buckets);
+  const usize entries = static_cast<usize>(config_.heap_entries);
   next_free_ = world.allocate(1);
-  table_ = world.allocate(static_cast<usize>(3 * config_.table_buckets));
-  heap_ = world.allocate(static_cast<usize>(2 * config_.heap_entries));
-  for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, next_free_, 0);
-    for (i64 b = 0; b < config_.table_buckets; ++b) {
-      world.write_word(r, bucket_value(b), kEmpty);
-      world.write_word(r, bucket_head(b), kNilRank);
-      world.write_word(r, bucket_last(b), kNilRank);
-    }
-    for (i64 h = 0; h < config_.heap_entries; ++h) {
-      world.write_word(r, heap_value(h), kEmpty);
-      world.write_word(r, heap_next(h), kNilRank);
-    }
-  }
+  bucket_values_ = world.allocate(buckets, kEmpty);
+  bucket_heads_ = world.allocate(buckets, kNilRank);
+  bucket_lasts_ = world.allocate(buckets, kNilRank);
+  heap_values_ = world.allocate(entries, kEmpty);
+  heap_nexts_ = world.allocate(entries, kNilRank);
 }
 
 // ---------------------------------------------------------------------------

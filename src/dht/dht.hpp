@@ -103,15 +103,13 @@ class DistributedHashTable {
   }
 
   // Window offsets of bucket b / heap entry h within a volume.
-  [[nodiscard]] WinOffset bucket_value(i64 b) const { return table_ + 3 * b; }
-  [[nodiscard]] WinOffset bucket_head(i64 b) const {
-    return table_ + 3 * b + 1;
+  [[nodiscard]] WinOffset bucket_value(i64 b) const {
+    return bucket_values_ + b;
   }
-  [[nodiscard]] WinOffset bucket_last(i64 b) const {
-    return table_ + 3 * b + 2;
-  }
-  [[nodiscard]] WinOffset heap_value(i64 h) const { return heap_ + 2 * h; }
-  [[nodiscard]] WinOffset heap_next(i64 h) const { return heap_ + 2 * h + 1; }
+  [[nodiscard]] WinOffset bucket_head(i64 b) const { return bucket_heads_ + b; }
+  [[nodiscard]] WinOffset bucket_last(i64 b) const { return bucket_lasts_ + b; }
+  [[nodiscard]] WinOffset heap_value(i64 h) const { return heap_values_ + h; }
+  [[nodiscard]] WinOffset heap_next(i64 h) const { return heap_nexts_ + h; }
 
   /// Claims an overflow slot and links it behind the bucket's chain.
   /// False iff the heap is exhausted (nothing linked).
@@ -120,9 +118,13 @@ class DistributedHashTable {
 
   DhtConfig config_;
   i32 nprocs_;
-  WinOffset next_free_;  // heap allocation cursor, one word
-  WinOffset table_;      // 3 words per bucket: value, head, last
-  WinOffset heap_;       // 2 words per entry: value, next
+  // One array per field, each started at its empty value by allocate().
+  WinOffset next_free_;      // heap allocation cursor, one word
+  WinOffset bucket_values_;  // per bucket: stored value or kEmpty
+  WinOffset bucket_heads_;   // per bucket: first overflow entry or kNilRank
+  WinOffset bucket_lasts_;   // per bucket: last overflow entry or kNilRank
+  WinOffset heap_values_;    // per heap entry: value or kEmpty
+  WinOffset heap_nexts_;     // per heap entry: next entry or kNilRank
 };
 
 }  // namespace rmalock::dht

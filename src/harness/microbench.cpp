@@ -69,24 +69,41 @@ void post_release_work(rma::RmaComm& comm, Workload workload) {
   }
 }
 
-template <typename RoleFn, typename AcquireFn, typename ReleaseFn>
-BenchResult run_bench_impl(rma::World& world, const MicrobenchConfig& config,
-                           const RoleFn& role_of_op, const AcquireFn& acquire,
-                           const ReleaseFn& release) {
+}  // namespace
+
+BenchResult run_lock_bench(rma::World& world, locks::ExclusiveLock& lock,
+                           const MicrobenchConfig& config) {
+  auto* const rw = dynamic_cast<locks::RwLock*>(&lock);
   const i32 nprocs = world.nprocs();
+  const i32 static_writers =
+      rw == nullptr ? nprocs : writer_count(nprocs, config.fw);
+  const u64 write_permille =
+      static_cast<u64>(std::lround(config.fw * 1000.0));
   const Rank data_rank = 0;
   const WinOffset data = world.allocate(1);
-  world.write_word(data_rank, data, 0);
 
   std::vector<PerProc> per(static_cast<usize>(nprocs));
   PhaseResult phases = run_phases(
       world, config.ops_per_proc, config.duration_ns,
       [&](rma::RmaComm& comm, i32 /*i*/, bool measured) {
-        const bool writer = role_of_op(comm);
+        bool writer = true;
+        if (rw != nullptr) {
+          writer = config.role_mode == RoleMode::kStaticRanks
+                       ? is_writer_rank(comm.rank(), nprocs, static_writers)
+                       : comm.rng().chance(write_permille, 1000);
+        }
         const Nanos start = comm.now_ns();
-        acquire(comm, writer);
+        if (writer) {
+          lock.acquire(comm);
+        } else {
+          rw->acquire_read(comm);
+        }
         cs_work(comm, config.workload, writer, data_rank, data);
-        release(comm, writer);
+        if (writer) {
+          lock.release(comm);
+        } else {
+          rw->release_read(comm);
+        }
         const Nanos end = comm.now_ns();
         if (measured) {
           PerProc& me = per[static_cast<usize>(comm.rank())];
@@ -115,57 +132,13 @@ BenchResult run_bench_impl(rma::World& world, const MicrobenchConfig& config,
   result.elapsed_ns = phases.elapsed_ns;
   result.throughput_mlocks_s = static_cast<double>(result.total_acquires) /
                                static_cast<double>(result.elapsed_ns) * 1e3;
-  result.num_writers = static_cast<i64>(writers.size());
+  const bool per_op = rw != nullptr && config.role_mode == RoleMode::kPerOp;
+  result.num_writers =
+      per_op ? static_cast<i64>(writers.size()) : static_writers;
   result.latency_us = summarize(std::move(all));
   result.reader_latency_us = summarize(std::move(readers));
   result.writer_latency_us = summarize(std::move(writers));
   result.op_stats = std::move(phases.op_stats);
-  return result;
-}
-
-}  // namespace
-
-BenchResult run_exclusive_bench(rma::World& world, locks::ExclusiveLock& lock,
-                                const MicrobenchConfig& config) {
-  BenchResult result = run_bench_impl(
-      world, config, [](rma::RmaComm&) { return true; },
-      [&lock](rma::RmaComm& comm, bool) { lock.acquire(comm); },
-      [&lock](rma::RmaComm& comm, bool) { lock.release(comm); });
-  result.num_writers = world.nprocs();
-  return result;
-}
-
-BenchResult run_rw_bench(rma::World& world, locks::RwLock& lock,
-                         const MicrobenchConfig& config) {
-  const i32 nprocs = world.nprocs();
-  const i32 static_writers = writer_count(nprocs, config.fw);
-  const u64 write_permille =
-      static_cast<u64>(std::lround(config.fw * 1000.0));
-  const auto role_of_op = [&, mode = config.role_mode](rma::RmaComm& comm) {
-    if (mode == RoleMode::kStaticRanks) {
-      return is_writer_rank(comm.rank(), nprocs, static_writers);
-    }
-    return comm.rng().chance(write_permille, 1000);
-  };
-  BenchResult result = run_bench_impl(
-      world, config, role_of_op,
-      [&lock](rma::RmaComm& comm, bool writer) {
-        if (writer) {
-          lock.acquire_write(comm);
-        } else {
-          lock.acquire_read(comm);
-        }
-      },
-      [&lock](rma::RmaComm& comm, bool writer) {
-        if (writer) {
-          lock.release_write(comm);
-        } else {
-          lock.release_read(comm);
-        }
-      });
-  if (config.role_mode == RoleMode::kStaticRanks) {
-    result.num_writers = static_writers;
-  }
   return result;
 }
 

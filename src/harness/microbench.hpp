@@ -57,7 +57,8 @@ struct BenchResult {
   Summary latency_us;         // per acquire+release, all processes
   Summary reader_latency_us;  // RW runs only
   Summary writer_latency_us;  // RW runs only
-  /// kStaticRanks: number of writer processes; kPerOp: writer ops counted.
+  /// kStaticRanks (and every exclusive run): number of writer processes;
+  /// kPerOp: writer ops counted.
   i64 num_writers = 0;
   rma::OpStats op_stats;  // measured phase, summed over processes
 };
@@ -68,12 +69,10 @@ struct BenchResult {
 /// Even spread of `writers` writer roles across `nprocs` ranks.
 [[nodiscard]] bool is_writer_rank(Rank rank, i32 nprocs, i32 writers);
 
-/// All processes contend on `lock` with the configured workload.
-BenchResult run_exclusive_bench(rma::World& world, locks::ExclusiveLock& lock,
-                                const MicrobenchConfig& config);
-
-/// Reader/writer version: roles fixed per process by F_W.
-BenchResult run_rw_bench(rma::World& world, locks::RwLock& lock,
-                         const MicrobenchConfig& config);
+/// All processes contend on `lock` with the configured workload. Over an
+/// RwLock each op is a read or a write per F_W and the role mode; over an
+/// exclusive lock every op is a write and F_W is ignored.
+BenchResult run_lock_bench(rma::World& world, locks::ExclusiveLock& lock,
+                           const MicrobenchConfig& config);
 
 }  // namespace rmalock::harness

@@ -11,24 +11,6 @@ namespace rmalock::locks {
 
 namespace {
 
-/// RwLock driven as an exclusive lock (writer mode only), so RW backends
-/// can serve exclusive callers through one interface.
-class RwAsExclusive final : public ExclusiveLock {
- public:
-  explicit RwAsExclusive(std::unique_ptr<RwLock> rw) : rw_(std::move(rw)) {}
-
-  void acquire(rma::RmaComm& comm) override { rw_->acquire_write(comm); }
-  void release(rma::RmaComm& comm) override { rw_->release_write(comm); }
-  AcquireResult try_acquire_for(rma::RmaComm& comm, Nanos deadline_ns,
-                                const RetryPolicy& retry) override {
-    return rw_->try_acquire_write_for(comm, deadline_ns, retry);
-  }
-  [[nodiscard]] std::string name() const override { return rw_->name(); }
-
- private:
-  std::unique_ptr<RwLock> rw_;
-};
-
 [[nodiscard]] Rank resolve_home(Rank home) { return home < 0 ? 0 : home; }
 
 }  // namespace
@@ -55,10 +37,6 @@ const std::vector<Backend>& all_backends() {
   return kAll;
 }
 
-std::unique_ptr<ExclusiveLock> write_side(std::unique_ptr<RwLock> rw) {
-  return std::make_unique<RwAsExclusive>(std::move(rw));
-}
-
 std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
                                               Rank home) {
   switch (b) {
@@ -79,7 +57,7 @@ std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
     }
     case Backend::kFompiRw:
     case Backend::kRmaRw:
-      return write_side(make_rw(b, world, home));
+      return make_rw(b, world, home);
     case Backend::kLeaseMcs:
     case Backend::kLeaseRw: {
       // Inner lock first, then the lease word: the footprint is the inner

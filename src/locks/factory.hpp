@@ -48,17 +48,12 @@ enum class Backend : u8 {
 /// All backends, in declaration order (test matrices iterate this).
 [[nodiscard]] const std::vector<Backend>& all_backends();
 
-/// Collective: constructs one exclusive lock of the given backend. RW
-/// backends are adapted through write_side() so every backend can serve
-/// exclusive callers. `home` as documented above; kNilRank = rank 0
-/// for the centralized protocols.
+/// Collective: constructs one lock of the given backend. Every backend is
+/// an exclusive lock; the RW backends return the RwLock itself, so callers
+/// that want shared mode dynamic_cast to RwLock. `home` as documented
+/// above; kNilRank = rank 0 for the centralized protocols.
 std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
                                               Rank home = kNilRank);
-
-/// The write side of `rw` as an exclusive lock: acquire == acquire_write,
-/// try_acquire_for == try_acquire_write_for (backends without a timed
-/// write path keep the blocking fallback).
-std::unique_ptr<ExclusiveLock> write_side(std::unique_ptr<RwLock> rw);
 
 /// Collective: constructs one reader-writer lock. Exclusive-only backends
 /// return nullptr — callers that need shared mode must check

@@ -5,9 +5,7 @@
 namespace rmalock::locks {
 
 FompiRw::FompiRw(rma::World& world, Rank home)
-    : home_(home), word_(world.allocate(1)) {
-  world.write_word(home_, word_, 0);
-}
+    : home_(home), word_(world.allocate(1)) {}
 
 void FompiRw::acquire_read(rma::RmaComm& comm) {
   for (;;) {

@@ -8,9 +8,7 @@ constexpr i64 kHeld = 1;
 }  // namespace
 
 FompiSpin::FompiSpin(rma::World& world, Rank home)
-    : home_(home), word_(world.allocate(1)) {
-  world.write_word(home_, word_, kFree);
-}
+    : home_(home), word_(world.allocate(1, kFree)) {}
 
 void FompiSpin::acquire(rma::RmaComm& comm) {
   for (;;) {

@@ -46,33 +46,19 @@ class ExclusiveLock {
 };
 
 /// Reader-writer lock: concurrent readers or one exclusive writer (§2.2.1).
-class RwLock {
+/// Its write side is an exclusive lock (RMA-RW's writers climb the same
+/// queue tree as RMA-MCS), so an RwLock serves every exclusive caller as
+/// is: acquire/release are the writer path, and try_acquire_for is the
+/// timed writer (the blocking default unless the backend overrides it).
+class RwLock : public ExclusiveLock {
  public:
-  virtual ~RwLock() = default;
-
-  RwLock(const RwLock&) = delete;
-  RwLock& operator=(const RwLock&) = delete;
+  void acquire(rma::RmaComm& comm) final { acquire_write(comm); }
+  void release(rma::RmaComm& comm) final { release_write(comm); }
 
   virtual void acquire_read(rma::RmaComm& comm) = 0;
   virtual void release_read(rma::RmaComm& comm) = 0;
   virtual void acquire_write(rma::RmaComm& comm) = 0;
   virtual void release_write(rma::RmaComm& comm) = 0;
-
-  /// Deadline-bounded write acquire (see ExclusiveLock::try_acquire_for).
-  /// The default falls back to the blocking path.
-  virtual AcquireResult try_acquire_write_for(rma::RmaComm& comm,
-                                              Nanos deadline_ns,
-                                              const RetryPolicy& retry) {
-    (void)deadline_ns;
-    (void)retry;
-    acquire_write(comm);
-    return AcquireResult{};
-  }
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
- protected:
-  RwLock() = default;
 };
 
 }  // namespace rmalock::locks

@@ -225,9 +225,8 @@ void RmaRw::acquire_root_writer(rma::RmaComm& comm) {
   tree_.start_count(comm, 1);
 }
 
-AcquireResult RmaRw::try_acquire_write_for(rma::RmaComm& comm,
-                                           Nanos deadline_ns,
-                                           const RetryPolicy& retry) {
+AcquireResult RmaRw::try_acquire_for(rma::RmaComm& comm, Nanos deadline_ns,
+                                     const RetryPolicy& retry) {
   AcquireResult result{};
   {
     rma::ObsSpan span(comm, obs::EventCode::kAcquire, /*a=*/1);

@@ -97,8 +97,8 @@ class RmaRw final : public RwLock {
   /// hold the lock), the levels below are left — and the attempt retries
   /// with backoff. A successful claim releases via the normal
   /// release_write.
-  AcquireResult try_acquire_write_for(rma::RmaComm& comm, Nanos deadline_ns,
-                                      const RetryPolicy& retry) override;
+  AcquireResult try_acquire_for(rma::RmaComm& comm, Nanos deadline_ns,
+                                const RetryPolicy& retry) override;
   [[nodiscard]] std::string name() const override { return "RMA-RW"; }
 
   [[nodiscard]] const RmaRwParams& params() const { return params_; }

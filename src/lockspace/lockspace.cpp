@@ -43,8 +43,7 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
   // footprint W (it depends only on the topology), so slot (plane p, gs)
   // occupies W words from base + (p * total_slots + gs) * W. The first
   // instance measures W; the world then reserves the rest of the grid and
-  // the control and payload words below in one step. RW backends are built
-  // whole and driven as exclusive locks through their write side.
+  // the control and payload words below in one step.
   slots_ = std::vector<Slot>(static_cast<usize>(total_slots()) *
                              static_cast<usize>(planes()));
   const usize base = world.window_words();
@@ -54,15 +53,9 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
     const Rank home = home_of_slot(static_cast<i32>(gs / spp),
                                    static_cast<i32>(gs % spp), plane);
     Slot& slot = slots_[i];
-    if (rw_capable()) {
-      std::unique_ptr<locks::RwLock> rw =
-          locks::make_rw(config_.backend, world, home);
-      slot.rw = rw.get();
-      slot.ex = locks::write_side(std::move(rw));
-    } else {
-      slot.ex = locks::make_exclusive(config_.backend, world, home);
-      slot.lease = dynamic_cast<locks::LeaseExclusive*>(slot.ex.get());
-    }
+    slot.ex = locks::make_exclusive(config_.backend, world, home);
+    slot.rw = dynamic_cast<locks::RwLock*>(slot.ex.get());
+    slot.lease = dynamic_cast<locks::LeaseExclusive*>(slot.ex.get());
     if (i == 0) {
       words_per_slot_ = world.window_words() - base;
       world.reserve(base + words_per_slot_ * slots_.size() + ctl_words +
@@ -74,9 +67,6 @@ LockSpace::LockSpace(rma::World& world, LockSpaceConfig config)
   // keeper): (epoch << 1) | migrating, starting quiescent at epoch 0.
   if (rehoming()) {
     rehome_ctl_base_ = world.allocate(ctl_words);
-    for (i32 s = 0; s < num_shards_; ++s) {
-      world.write_word(0, ctl_offset(s), 0);
-    }
     holds_.resize(static_cast<usize>(world.nprocs()));
   }
 

@@ -335,11 +335,11 @@ class LockSpace {
   struct Slot {
     // Set when an acquire first looks the slot up; the working-set gauge.
     std::atomic<bool> used{false};
-    // The backend instance, driven through its write side (RW backends via
-    // locks::write_side).
+    // The backend instance; on an RW backend, acquire/release are the
+    // writer path.
     std::unique_ptr<locks::ExclusiveLock> ex;
-    // Non-owning views: the shared side of an RW backend (null on exclusive
-    // backends, whose readers serialize), and `ex` when the backend is
+    // Non-owning views of `ex`: as an RwLock (null on exclusive backends,
+    // whose readers serialize), and as a LeaseExclusive when the backend is
     // lease-capable, so recover_orphans can sweep without casts.
     locks::RwLock* rw = nullptr;
     locks::LeaseExclusive* lease = nullptr;

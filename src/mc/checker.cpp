@@ -157,52 +157,31 @@ class KeyOverlap {
 
 }  // namespace
 
-Workload rw_workload(RwLockFactory factory) {
+Workload lock_workload(ExclusiveLockFactory factory) {
   return {[factory = std::move(factory)](const CheckConfig& config,
                                          const rma::SimOptions& opts) {
     auto world = rma::SimWorld::create(opts);
     const auto lock = factory(*world);
+    auto* const rw = dynamic_cast<locks::RwLock*>(lock.get());
     CsMonitor monitor;
     ScheduleOutcome outcome;
     outcome.run = world->run([&](rma::RmaComm& comm) {
-      const bool writer = is_writer(config, opts.seed, comm.rank());
+      const bool writer =
+          rw == nullptr || is_writer(config, opts.seed, comm.rank());
       for (i32 i = 0; i < config.acquires_per_proc; ++i) {
         if (writer) {
-          lock->acquire_write(comm);
+          lock->acquire(comm);
           monitor.enter_write();
           comm.compute(10);  // scheduling point: keeps the CS observable
           monitor.exit_write();
-          lock->release_write(comm);
+          lock->release(comm);
         } else {
-          lock->acquire_read(comm);
+          rw->acquire_read(comm);
           monitor.enter_read();
           comm.compute(10);
           monitor.exit_read();
-          lock->release_read(comm);
+          rw->release_read(comm);
         }
-      }
-    });
-    outcome.mutex_violations = monitor.violations();
-    outcome.cs_entries = monitor.entries();
-    outcome.lock_name = lock->name();
-    return outcome;
-  }};
-}
-
-Workload exclusive_workload(ExclusiveLockFactory factory) {
-  return {[factory = std::move(factory)](const CheckConfig& config,
-                                         const rma::SimOptions& opts) {
-    auto world = rma::SimWorld::create(opts);
-    const auto lock = factory(*world);
-    CsMonitor monitor;
-    ScheduleOutcome outcome;
-    outcome.run = world->run([&](rma::RmaComm& comm) {
-      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-        lock->acquire(comm);
-        monitor.enter();
-        comm.compute(10);  // scheduling point: keeps the CS observable
-        monitor.exit();
-        lock->release(comm);
       }
     });
     outcome.mutex_violations = monitor.violations();

@@ -59,7 +59,7 @@ struct CheckConfig : rma::FaultKnobs {
   /// Probability that a process is a writer (readers otherwise); roles are
   /// drawn per (seed, rank) as in the paper's random role assignment.
   double writer_fraction = 0.5;
-  /// Explicit per-rank roles for rw workloads (size == nprocs); empty =
+  /// Explicit per-rank roles over RW subjects (size == nprocs); empty =
   /// random roles via writer_fraction. Lets tests and the exhaustive
   /// explorer pin a reader/writer mix instead of depending on the seed.
   std::vector<bool> writer_roles;
@@ -216,13 +216,11 @@ struct Workload {
       run;
 };
 
-/// Reader/writer workload: each process (a writer or a reader per config
-/// roles) takes the lock acquires_per_proc times. Checked: mutual exclusion
-/// (CsMonitor) and deadlock freedom.
-Workload rw_workload(RwLockFactory factory);
-
-/// All-writers workload over an exclusive lock; same properties.
-Workload exclusive_workload(ExclusiveLockFactory factory);
+/// Lock workload: each process takes the lock acquires_per_proc times.
+/// Over an RwLock each process is a writer or a reader per config roles;
+/// over an exclusive lock every process is a writer and no role is drawn.
+/// Checked: mutual exclusion (CsMonitor) and deadlock freedom.
+Workload lock_workload(ExclusiveLockFactory factory);
 
 /// Crash/recovery workload over a lease lock: every process declares a
 /// crash point before each acquire and one inside each critical section

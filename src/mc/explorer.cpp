@@ -393,7 +393,7 @@ CheckReport check_exhaustive(const CheckConfig& config,
 CheckReport check_rw_exhaustive(const CheckConfig& config,
                                 const ExploreConfig& explore,
                                 const RwLockFactory& factory, bool iterative) {
-  return check_exhaustive(config, explore, rw_workload(factory), iterative);
+  return check_exhaustive(config, explore, lock_workload(factory), iterative);
 }
 
 }  // namespace rmalock::mc

@@ -97,7 +97,7 @@ CheckReport check_exhaustive(const CheckConfig& config,
                              const ExploreConfig& explore,
                              const Workload& workload, bool iterative = false);
 
-/// check_exhaustive over rw_workload(factory): the entry point of the
+/// check_exhaustive over lock_workload(factory): the entry point of the
 /// repository benchmark (perfbench/rmabench.cpp, workload mc_exhaustive).
 CheckReport check_rw_exhaustive(const CheckConfig& config,
                                 const ExploreConfig& explore,

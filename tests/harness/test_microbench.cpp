@@ -56,7 +56,7 @@ TEST(Microbench, EcsbProducesSaneNumbers) {
   MicrobenchConfig config;
   config.workload = Workload::kEcsb;
   config.ops_per_proc = 20;
-  const BenchResult result = run_exclusive_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   EXPECT_EQ(result.total_acquires, 16u * 20u);
   EXPECT_GT(result.elapsed_ns, 0);
   EXPECT_GT(result.throughput_mlocks_s, 0.0);
@@ -70,7 +70,7 @@ TEST(Microbench, WarmupIsDiscarded) {
   locks::DMcs lock(*world);
   MicrobenchConfig config;
   config.ops_per_proc = 10;
-  const BenchResult result = run_exclusive_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   // Only the measured ops are recorded, not the ⌈0.1·10⌉ warmup ops.
   EXPECT_EQ(result.latency_us.n, 8u * 10u);
 }
@@ -81,13 +81,13 @@ TEST(Microbench, WcsbIncludesCsWork) {
   MicrobenchConfig ecsb;
   ecsb.workload = Workload::kEcsb;
   ecsb.ops_per_proc = 15;
-  const BenchResult empty = run_exclusive_bench(*world_empty, lock_empty, ecsb);
+  const BenchResult empty = run_lock_bench(*world_empty, lock_empty, ecsb);
 
   auto world_work = make_sim_xc30(topo::Topology::nodes(2, 4));
   locks::DMcs lock_work(*world_work);
   MicrobenchConfig wcsb = ecsb;
   wcsb.workload = Workload::kWcsb;
-  const BenchResult work = run_exclusive_bench(*world_work, lock_work, wcsb);
+  const BenchResult work = run_lock_bench(*world_work, lock_work, wcsb);
 
   // 1-4 us of in-CS compute must slow both latency and throughput.
   EXPECT_GT(work.latency_us.mean, empty.latency_us.mean);
@@ -99,13 +99,13 @@ TEST(Microbench, WarbAddsThinkTimeOutsideCs) {
   locks::DMcs lock_a(*world_a);
   MicrobenchConfig ecsb;
   ecsb.ops_per_proc = 15;
-  const BenchResult base = run_exclusive_bench(*world_a, lock_a, ecsb);
+  const BenchResult base = run_lock_bench(*world_a, lock_a, ecsb);
 
   auto world_b = make_sim_xc30(topo::Topology::nodes(2, 4));
   locks::DMcs lock_b(*world_b);
   MicrobenchConfig warb = ecsb;
   warb.workload = Workload::kWarb;
-  const BenchResult waity = run_exclusive_bench(*world_b, lock_b, warb);
+  const BenchResult waity = run_lock_bench(*world_b, lock_b, warb);
 
   // Total phase time grows, but the measured acquire+release latency does
   // not inflate proportionally (waiting happens outside the lock and
@@ -120,7 +120,7 @@ TEST(Microbench, RwRolesAreHonored) {
   config.workload = Workload::kSob;
   config.ops_per_proc = 10;
   config.fw = 0.25;
-  const BenchResult result = run_rw_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   EXPECT_EQ(result.num_writers, 4);
   EXPECT_EQ(result.writer_latency_us.n, 4u * 10u);
   EXPECT_EQ(result.reader_latency_us.n, 12u * 10u);
@@ -132,7 +132,7 @@ TEST(Microbench, OpStatsDeltaCoversMeasuredPhaseOnly) {
   locks::DMcs lock(*world);
   MicrobenchConfig config;
   config.ops_per_proc = 10;
-  const BenchResult result = run_exclusive_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   EXPECT_GT(result.op_stats.total_ops(), 0u);
   // Every acquire FAOs the tail exactly once.
   EXPECT_EQ(result.op_stats.total(rma::OpKind::kFao), 8u * 10u);
@@ -147,7 +147,7 @@ TEST(Microbench, ExclusiveFixedOpsPin) {
   MicrobenchConfig config;
   config.workload = Workload::kWcsb;
   config.ops_per_proc = 10;
-  const BenchResult result = run_exclusive_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   EXPECT_EQ(result.elapsed_ns, 351898);
   EXPECT_EQ(result.total_acquires, 8u * 10u);
   EXPECT_EQ(result.op_stats.total(rma::OpKind::kFao), 8u * 10u);
@@ -164,7 +164,7 @@ TEST(Microbench, RwDurationPerOpPin) {
   config.duration_ns = 40'000;
   config.fw = 0.25;
   config.role_mode = RoleMode::kPerOp;
-  const BenchResult result = run_rw_bench(*world, lock, config);
+  const BenchResult result = run_lock_bench(*world, lock, config);
   EXPECT_EQ(result.elapsed_ns, 54595);
   EXPECT_EQ(result.total_acquires, 66u);
   EXPECT_EQ(result.num_writers, 17);

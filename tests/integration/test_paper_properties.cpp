@@ -34,7 +34,7 @@ harness::BenchResult bench_exclusive(locks::ExclusiveLock* (*factory)(
   harness::MicrobenchConfig config;
   config.workload = workload;
   config.ops_per_proc = 60;
-  return harness::run_exclusive_bench(*world, *lock, config);
+  return harness::run_lock_bench(*world, *lock, config);
 }
 
 locks::ExclusiveLock* make_dmcs(rma::World& w) { return new locks::DMcs(w); }
@@ -101,7 +101,7 @@ harness::BenchResult bench_rw(bool rma_rw, double fw, i64 tr, i32 tdc) {
   config.duration_ns = 600'000;
   config.role_mode = harness::RoleMode::kPerOp;
   config.fw = fw;
-  return harness::run_rw_bench(*world, *lock, config);
+  return harness::run_lock_bench(*world, *lock, config);
 }
 
 TEST(PaperShapes, RmaRwBeatsFompiRwOnReadDominatedWorkload) {

@@ -96,15 +96,16 @@ TEST(RmaRwRegression, FlagPreservingResetPassesAdversarialSchedules) {
   config.schedules = 150;
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
-  const auto report = mc::check(config, mc::rw_workload([](rma::World& world) {
-    RmaRwParams params = RmaRwParams::defaults(world.topology());
-    params.tdc = 2;
-    params.tr = 1;
-    params.locality.assign(
-        static_cast<usize>(world.topology().num_levels()), 1);
-    params.paper_faithful_reader_reset = false;
-    return std::make_unique<RmaRw>(world, params);
-  }));
+  const auto report =
+      mc::check(config, mc::lock_workload([](rma::World& world) {
+        RmaRwParams params = RmaRwParams::defaults(world.topology());
+        params.tdc = 2;
+        params.tr = 1;
+        params.locality.assign(
+            static_cast<usize>(world.topology().num_levels()), 1);
+        params.paper_faithful_reader_reset = false;
+        return std::make_unique<RmaRw>(world, params);
+      }));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.total_cs_entries, 150u * 4 * 8);
 }
@@ -118,15 +119,16 @@ TEST(RmaRwRegression, FaithfulVariantIsReportedNotFatal) {
   config.schedules = 40;
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
-  const auto report = mc::check(config, mc::rw_workload([](rma::World& world) {
-    RmaRwParams params = RmaRwParams::defaults(world.topology());
-    params.tdc = 2;
-    params.tr = 1;
-    params.locality.assign(
-        static_cast<usize>(world.topology().num_levels()), 1);
-    params.paper_faithful_reader_reset = true;
-    return std::make_unique<RmaRw>(world, params);
-  }));
+  const auto report =
+      mc::check(config, mc::lock_workload([](rma::World& world) {
+        RmaRwParams params = RmaRwParams::defaults(world.topology());
+        params.tdc = 2;
+        params.tr = 1;
+        params.locality.assign(
+            static_cast<usize>(world.topology().num_levels()), 1);
+        params.paper_faithful_reader_reset = true;
+        return std::make_unique<RmaRw>(world, params);
+      }));
   // No assertion on ok(): the point of the faithful mode is that it MAY
   // violate; the harness must simply survive and account for everything.
   EXPECT_EQ(report.schedules_run, 40u);

@@ -7,7 +7,6 @@
 // epoch past kMaxEpoch into the owner field).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -156,8 +155,8 @@ TEST(TimedAcquire, RwWriteSideTimesOutUnderContention) {
       lock.release_write(comm);
     } else {
       comm.compute(10'000);
-      timed = lock.try_acquire_write_for(comm, comm.now_ns() + 100'000,
-                                         RetryPolicy{});
+      timed = lock.try_acquire_for(comm, comm.now_ns() + 100'000,
+                                   RetryPolicy{});
       if (timed.ok()) lock.release_write(comm);
       lock.acquire_write(comm);
       comm.compute(10);
@@ -168,8 +167,8 @@ TEST(TimedAcquire, RwWriteSideTimesOutUnderContention) {
 }
 
 TEST(TimedAcquire, RwFactoryExclusiveTimesOutUnderContention) {
-  // make_exclusive adapts RW backends to the exclusive interface; the
-  // adapter must forward the timed path, not fall back to blocking.
+  // make_exclusive returns the RW lock itself; its timed path must be
+  // RMA-RW's timed writer, not the blocking default.
   timeout_under_contention([](rma::World& world) {
     return make_exclusive(Backend::kRmaRw, world);
   });
@@ -182,35 +181,11 @@ TEST(TimedAcquire, RwWriteSideGrantsUncontended) {
   AcquireResult granted{};
   world->run([&](rma::RmaComm& comm) {
     if (comm.rank() != 0) return;
-    granted = lock.try_acquire_write_for(comm, comm.now_ns() + 1'000'000,
-                                         RetryPolicy{});
+    granted = lock.try_acquire_for(comm, comm.now_ns() + 1'000'000,
+                                   RetryPolicy{});
     if (granted.ok()) lock.release_write(comm);
   });
   EXPECT_TRUE(granted.ok());
-}
-
-/// A lock's write-side entry points, so one scenario can drive RMA-MCS and
-/// RMA-RW's writer path alike.
-struct WriteSide {
-  std::function<void(rma::RmaComm&)> acquire;
-  std::function<void(rma::RmaComm&)> release;
-  std::function<AcquireResult(rma::RmaComm&, Nanos)> try_acquire;
-};
-
-WriteSide write_ops(RmaMcs& lock) {
-  return {[&lock](rma::RmaComm& c) { lock.acquire(c); },
-          [&lock](rma::RmaComm& c) { lock.release(c); },
-          [&lock](rma::RmaComm& c, Nanos deadline) {
-            return lock.try_acquire_for(c, deadline, RetryPolicy{});
-          }};
-}
-
-WriteSide write_ops(RmaRw& lock) {
-  return {[&lock](rma::RmaComm& c) { lock.acquire_write(c); },
-          [&lock](rma::RmaComm& c) { lock.release_write(c); },
-          [&lock](rma::RmaComm& c, Nanos deadline) {
-            return lock.try_acquire_write_for(c, deadline, RetryPolicy{});
-          }};
 }
 
 /// Every DQ tail of `tree` is nil on every rank.
@@ -234,22 +209,22 @@ template <typename Lock>
 void leaf_won_root_missed(const topo::Topology& topology) {
   auto world = rma::SimWorld::create(timed_options(topology, 17));
   Lock lock(*world);
-  const WriteSide ops = write_ops(lock);
   const Rank timed_rank = world->nprocs() / 2;
   AcquireResult timed{};
   bool reacquired = false;
   world->run([&](rma::RmaComm& comm) {
     if (comm.rank() == 0) {
-      ops.acquire(comm);
+      lock.acquire(comm);
       comm.compute(2'000'000);
-      ops.release(comm);
+      lock.release(comm);
     } else if (comm.rank() == timed_rank) {
       comm.compute(10'000);  // let rank 0 win the root
-      timed = ops.try_acquire(comm, comm.now_ns() + 100'000);
-      if (timed.ok()) ops.release(comm);
-      ops.acquire(comm);
+      timed = lock.try_acquire_for(comm, comm.now_ns() + 100'000,
+                                   RetryPolicy{});
+      if (timed.ok()) lock.release(comm);
+      lock.acquire(comm);
       reacquired = true;
-      ops.release(comm);
+      lock.release(comm);
     }
   });
   EXPECT_EQ(timed.status, AcquireStatus::kTimeout) << lock.name();
@@ -287,8 +262,8 @@ TEST(TimedAcquire, RwDrainTimeoutUndoesTheWriterClaim) {
       lock.release_read(comm);
     } else if (comm.rank() == 2) {
       comm.compute(10'000);  // let rank 0 arrive first
-      timed = lock.try_acquire_write_for(comm, comm.now_ns() + 100'000,
-                                         RetryPolicy{});
+      timed = lock.try_acquire_for(comm, comm.now_ns() + 100'000,
+                                   RetryPolicy{});
       if (timed.ok()) lock.release_write(comm);
     } else if (comm.rank() == 1) {
       comm.compute(500'000);  // well past the writer's deadline

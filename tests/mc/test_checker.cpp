@@ -68,7 +68,7 @@ CheckConfig small_config(rma::SchedPolicy policy) {
 TEST(Checker, DMcsPassesRandomWalk) {
   const auto report = check(
       small_config(rma::SchedPolicy::kRandom),
-      exclusive_workload([](rma::World& world) {
+      lock_workload([](rma::World& world) {
         return std::make_unique<locks::DMcs>(world);
       }));
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -79,7 +79,7 @@ TEST(Checker, DMcsPassesRandomWalk) {
 TEST(Checker, RmaMcsPassesRandomWalk) {
   const auto report =
       check(small_config(rma::SchedPolicy::kRandom),
-            exclusive_workload([](rma::World& world) {
+            lock_workload([](rma::World& world) {
               return std::make_unique<locks::RmaMcs>(world);
             }));
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -88,7 +88,7 @@ TEST(Checker, RmaMcsPassesRandomWalk) {
 TEST(Checker, FompiSpinPassesRandomWalk) {
   const auto report =
       check(small_config(rma::SchedPolicy::kRandom),
-            exclusive_workload([](rma::World& world) {
+            lock_workload([](rma::World& world) {
               return std::make_unique<locks::FompiSpin>(world);
             }));
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -96,7 +96,7 @@ TEST(Checker, FompiSpinPassesRandomWalk) {
 
 TEST(Checker, RmaRwPassesRandomWalk) {
   auto config = small_config(rma::SchedPolicy::kRandom);
-  const auto report = check(config, rw_workload([](rma::World& world) {
+  const auto report = check(config, lock_workload([](rma::World& world) {
     locks::RmaRwParams params;
     params.tdc = 2;
     params.locality.assign(
@@ -110,7 +110,7 @@ TEST(Checker, RmaRwPassesRandomWalk) {
 TEST(Checker, RmaRwPassesPct) {
   auto config = small_config(rma::SchedPolicy::kPct);
   config.schedules = 15;
-  const auto report = check(config, rw_workload([](rma::World& world) {
+  const auto report = check(config, lock_workload([](rma::World& world) {
     locks::RmaRwParams params;
     params.tdc = 2;
     params.locality.assign(
@@ -123,7 +123,7 @@ TEST(Checker, RmaRwPassesPct) {
 
 TEST(Checker, FompiRwPassesRandomWalk) {
   const auto report = check(small_config(rma::SchedPolicy::kRandom),
-                            rw_workload([](rma::World& world) {
+                            lock_workload([](rma::World& world) {
                               return std::make_unique<locks::FompiRw>(world);
                             }));
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -134,7 +134,7 @@ TEST(Checker, CatchesMutualExclusionViolations) {
   config.schedules = 10;
   const auto report = check(
       config,
-      exclusive_workload([](rma::World& world) {
+      lock_workload([](rma::World& world) {
         return std::make_unique<NoLock>(world);
       }));
   EXPECT_FALSE(report.ok());
@@ -147,7 +147,7 @@ TEST(Checker, CatchesDeadlocks) {
   config.schedules = 5;
   const auto report = check(
       config,
-      exclusive_workload([](rma::World& world) {
+      lock_workload([](rma::World& world) {
         return std::make_unique<LeakyLock>(world);
       }));
   EXPECT_FALSE(report.ok());
@@ -159,7 +159,7 @@ TEST(Checker, PctAlsoCatchesViolations) {
   config.schedules = 10;
   const auto report = check(
       config,
-      exclusive_workload([](rma::World& world) {
+      lock_workload([](rma::World& world) {
         return std::make_unique<NoLock>(world);
       }));
   EXPECT_GT(report.mutex_violations, 0u);
@@ -175,7 +175,7 @@ TEST(Checker, PaperScaleFourLevels256Procs) {
   config.schedules = 2;
   config.acquires_per_proc = 3;
   config.max_steps = 3'000'000;
-  const auto report = check(config, rw_workload([](rma::World& world) {
+  const auto report = check(config, lock_workload([](rma::World& world) {
     locks::RmaRwParams params = locks::RmaRwParams::defaults(world.topology());
     params.tr = 10;
     params.locality.assign(4, 2);
@@ -289,7 +289,7 @@ ExclusiveLockFactory no_lock_factory() {
 TEST(Checker, FirstFailureRecordsMutexCoordinates) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  const auto report = check(config, exclusive_workload(no_lock_factory()));
+  const auto report = check(config, lock_workload(no_lock_factory()));
   ASSERT_TRUE(report.has_first_failure);
   const FirstFailure& f = report.first_failure;
   EXPECT_EQ(f.kind, "mutex");
@@ -307,7 +307,7 @@ TEST(Checker, FirstFailureRecordsMutexCoordinates) {
 TEST(Checker, FirstFailureRecordsDeadlockKind) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 5;
-  const auto report = check(config, exclusive_workload([](rma::World& world) {
+  const auto report = check(config, lock_workload([](rma::World& world) {
     return std::make_unique<LeakyLock>(world);
   }));
   ASSERT_TRUE(report.has_first_failure);
@@ -317,12 +317,12 @@ TEST(Checker, FirstFailureRecordsDeadlockKind) {
 TEST(Checker, FirstFailurePropagatesThroughMerge) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 5;
-  CheckReport clean = check(config, exclusive_workload([](rma::World& world) {
+  CheckReport clean = check(config, lock_workload([](rma::World& world) {
     return std::make_unique<locks::DMcs>(world);
   }));
   ASSERT_FALSE(clean.has_first_failure);
   const CheckReport failing =
-      check(config, exclusive_workload(no_lock_factory()));
+      check(config, lock_workload(no_lock_factory()));
   ASSERT_TRUE(failing.has_first_failure);
 
   // Aggregating a failing report into a clean one keeps the coordinates...
@@ -344,7 +344,7 @@ TEST(Checker, FirstFailurePropagatesThroughMerge) {
 TEST(Checker, ShrunkCounterexampleReplaysDeterministically) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  const Workload workload = exclusive_workload(no_lock_factory());
+  const Workload workload = lock_workload(no_lock_factory());
   const auto report = check(config, workload);
   ASSERT_TRUE(report.has_first_failure);
   const FirstFailure& f = report.first_failure;
@@ -366,7 +366,7 @@ TEST(Checker, TraceDirWritesReplayableFile) {
   config.schedules = 10;
   config.trace_dir = ::testing::TempDir();
   config.workload_id = "ex:no-lock";
-  const auto report = check(config, exclusive_workload(no_lock_factory()));
+  const auto report = check(config, lock_workload(no_lock_factory()));
   ASSERT_TRUE(report.has_first_failure);
   ASSERT_FALSE(report.first_failure.trace_path.empty());
   EXPECT_NE(report.summary().find("--replay"), std::string::npos);
@@ -387,7 +387,7 @@ TEST(Checker, TraceDirWritesReplayableFile) {
   from_file.topology = repro.topology;
   from_file.acquires_per_proc = repro.acquires_per_proc;
   from_file.max_steps = repro.max_steps;
-  const ScheduleOutcome replayed = exclusive_workload(no_lock_factory()).run(
+  const ScheduleOutcome replayed = lock_workload(no_lock_factory()).run(
       from_file, replay_options(from_file, repro.world_seed, repro.trace));
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
@@ -402,7 +402,7 @@ TEST(Checker, PlantedMcsDroppedHandoffCaughtByRandomAndPct) {
     config.schedules = 10;
     config.acquires_per_proc = 2;
     const Workload workload =
-        exclusive_workload([](rma::World& world) {
+        lock_workload([](rma::World& world) {
           return std::make_unique<test::PlantedMcs>(world,
                                                     /*drop_handoff=*/true);
         });
@@ -444,7 +444,7 @@ TEST(Checker, PlantedRwWriteFlagClobberCaughtByRandom) {
   config.base_seed = 1;
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
-  const Workload workload = rw_workload(faithful_reset_rw_factory());
+  const Workload workload = lock_workload(faithful_reset_rw_factory());
   const auto report = check(config, workload);
   EXPECT_GT(report.mutex_violations, 0u) << report.summary();
   ASSERT_TRUE(report.has_first_failure);
@@ -470,7 +470,7 @@ TEST(Checker, PlantedRwWriteFlagClobberCaughtByPct) {
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
   config.pct_change_points = 6;
-  const Workload workload = rw_workload(faithful_reset_rw_factory());
+  const Workload workload = lock_workload(faithful_reset_rw_factory());
   const auto report = check(config, workload);
   EXPECT_GT(report.mutex_violations, 0u) << report.summary();
   ASSERT_TRUE(report.has_first_failure);
@@ -512,12 +512,12 @@ TEST(Checker, ExplicitWriterRolesOverrideRandomAssignment) {
     return std::make_unique<NoRwLock>(world);
   };
   // Seed-drawn roles put writers in the mix: the null lock must be caught.
-  const auto random_roles = check(config, rw_workload(factory));
+  const auto random_roles = check(config, lock_workload(factory));
   EXPECT_GT(random_roles.mutex_violations, 0u) << random_roles.summary();
   // Pinning every rank to reader makes the same workload trivially clean —
   // proof that writer_roles overrides the seed-drawn assignment.
   config.writer_roles = {false, false, false, false};
-  const auto all_readers = check(config, rw_workload(factory));
+  const auto all_readers = check(config, lock_workload(factory));
   EXPECT_TRUE(all_readers.ok()) << all_readers.summary();
   EXPECT_EQ(all_readers.total_cs_entries, 5u * 4 * 4);
 }

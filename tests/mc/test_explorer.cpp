@@ -156,7 +156,7 @@ TEST(Explorer, ExhaustivelyVerifiesCorrectMcsTwoProcsTwoAcquires) {
   explore.max_schedules = 50'000;
   explore.max_preemptions = 3;
   const CheckReport report = check_exhaustive(
-      tiny_config(2, 2), explore, exclusive_workload([](rma::World& world) {
+      tiny_config(2, 2), explore, lock_workload([](rma::World& world) {
         return std::make_unique<test::PlantedMcs>(world,
                                                   /*drop_handoff=*/false);
       }));
@@ -171,7 +171,7 @@ TEST(Explorer, FindsPlantedMcsDeadlockAndShrinksIt) {
   ExploreConfig explore;
   explore.max_schedules = 200'000;
   const CheckConfig config = tiny_config(2, 1);
-  const Workload planted = exclusive_workload([](rma::World& world) {
+  const Workload planted = lock_workload([](rma::World& world) {
     return std::make_unique<test::PlantedMcs>(world, /*drop_handoff=*/true);
   });
   const CheckReport report = check_exhaustive(config, explore, planted);
@@ -215,7 +215,7 @@ TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
     return std::make_unique<locks::RmaRw>(world, params);
   };
   const CheckReport report =
-      check_exhaustive(config, explore, rw_workload(faithful_factory),
+      check_exhaustive(config, explore, lock_workload(faithful_factory),
                        /*iterative=*/true);
   EXPECT_FALSE(report.ok()) << report.summary();
   EXPECT_GT(report.mutex_violations, 0u);
@@ -238,7 +238,7 @@ TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
   from_file.writer_fraction = repro.writer_fraction;
   from_file.writer_roles = repro.writer_roles;
   from_file.max_steps = repro.max_steps;
-  const ScheduleOutcome replayed = rw_workload(faithful_factory).run(
+  const ScheduleOutcome replayed = lock_workload(faithful_factory).run(
       from_file, replay_options(from_file, repro.world_seed, repro.trace));
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
@@ -250,7 +250,7 @@ TEST(Explorer, ExhaustivelyVerifiesDMcsUnboundedSmallConfig) {
   ExploreConfig explore;
   explore.max_schedules = 100'000;
   const CheckReport report = check_exhaustive(
-      tiny_config(2, 1), explore, exclusive_workload([](rma::World& world) {
+      tiny_config(2, 1), explore, lock_workload([](rma::World& world) {
         return std::make_unique<locks::DMcs>(world);
       }));
   EXPECT_TRUE(report.ok()) << report.summary();

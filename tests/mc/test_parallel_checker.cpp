@@ -68,9 +68,9 @@ TEST(ParallelChecker, CleanRandomizedCampaignMatchesSequential) {
   config.schedules = 40;
   config.acquires_per_proc = 5;
   config.max_steps = 400'000;
-  const CheckReport seq = check(config, exclusive_workload(rma_mcs_factory()));
+  const CheckReport seq = check(config, lock_workload(rma_mcs_factory()));
   config.jobs = 4;
-  const CheckReport par = check(config, exclusive_workload(rma_mcs_factory()));
+  const CheckReport par = check(config, lock_workload(rma_mcs_factory()));
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);
 }
@@ -89,9 +89,9 @@ TEST(ParallelChecker, CleanPctRwCampaignMatchesSequential) {
                            2);
     return std::make_unique<locks::RmaRw>(world, params);
   };
-  const CheckReport seq = check(config, rw_workload(factory));
+  const CheckReport seq = check(config, lock_workload(factory));
   config.jobs = 4;
-  const CheckReport par = check(config, rw_workload(factory));
+  const CheckReport par = check(config, lock_workload(factory));
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);
 }
@@ -108,10 +108,10 @@ TEST(ParallelChecker, PlantedBugFailureCoordinatesMatchSequential) {
   config.acquires_per_proc = 2;
   config.max_steps = 200'000;
   const CheckReport seq =
-      check(config, exclusive_workload(planted_mcs_factory()));
+      check(config, lock_workload(planted_mcs_factory()));
   config.jobs = 4;
   const CheckReport par =
-      check(config, exclusive_workload(planted_mcs_factory()));
+      check(config, lock_workload(planted_mcs_factory()));
   ASSERT_FALSE(seq.ok());
   ASSERT_TRUE(seq.has_first_failure);
   EXPECT_EQ(seq.first_failure.kind, "deadlock");
@@ -129,11 +129,11 @@ TEST(ParallelChecker, ExhaustiveEnumerationMatchesSequential) {
   explore.max_schedules = 100'000;
   explore.max_preemptions = 3;
   const CheckReport seq =
-      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+      check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                        /*iterative=*/true);
   config.jobs = 4;
   const CheckReport par =
-      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+      check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                        /*iterative=*/true);
   EXPECT_TRUE(seq.ok());
   EXPECT_GT(seq.schedules_run, 100u);  // a real space, not a trivial one
@@ -153,13 +153,13 @@ TEST(ParallelChecker, ExhaustiveShardDepthDoesNotChangeEnumeration) {
   explore.max_schedules = 100'000;
   explore.max_preemptions = 2;
   const CheckReport seq =
-      check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+      check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                        true);
   config.jobs = 3;
   for (const usize depth : {1u, 3u, 7u}) {
     explore.shard_depth = depth;
     const CheckReport par =
-        check_exhaustive(config, explore, exclusive_workload(rma_mcs_factory()),
+        check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                          true);
     expect_equal_reports(seq, par);
   }
@@ -178,11 +178,11 @@ TEST(ParallelChecker, ExhaustivePlantedBugStopsAtSameCounterexample) {
   explore.max_schedules = 100'000;
   explore.max_preemptions = 4;
   const CheckReport seq = check_exhaustive(
-      config, explore, exclusive_workload(planted_mcs_factory()),
+      config, explore, lock_workload(planted_mcs_factory()),
       /*iterative=*/true);
   config.jobs = 4;
   const CheckReport par = check_exhaustive(
-      config, explore, exclusive_workload(planted_mcs_factory()),
+      config, explore, lock_workload(planted_mcs_factory()),
       /*iterative=*/true);
   ASSERT_FALSE(seq.ok());
   ASSERT_TRUE(seq.has_first_failure);
@@ -206,11 +206,11 @@ TEST(ParallelChecker, ExhaustiveRwCampaignMatchesSequential) {
     return std::make_unique<locks::RmaRw>(world, params);
   };
   const CheckReport seq =
-      check_exhaustive(config, explore, rw_workload(factory),
+      check_exhaustive(config, explore, lock_workload(factory),
                        /*iterative=*/true);
   config.jobs = 4;
   const CheckReport par =
-      check_exhaustive(config, explore, rw_workload(factory),
+      check_exhaustive(config, explore, lock_workload(factory),
                        /*iterative=*/true);
   EXPECT_TRUE(seq.ok());
   expect_equal_reports(seq, par);

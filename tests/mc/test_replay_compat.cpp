@@ -214,7 +214,7 @@ mc::CheckConfig config_for(const GoldenCase& c) {
 mc::ScheduleOutcome run_case(const GoldenCase& c, const mc::CheckConfig& config,
                              const rma::SimOptions& opts) {
   if (std::string(c.workload) == "rw:rma-rw") {
-    return mc::rw_workload(rw_factory()).run(config, opts);
+    return mc::lock_workload(rw_factory()).run(config, opts);
   }
   if (std::string(c.workload) == "lease:mcs") {
     return mc::lease_workload(lease_factory()).run(config, opts);
@@ -231,7 +231,7 @@ mc::ScheduleOutcome run_case(const GoldenCase& c, const mc::CheckConfig& config,
   if (std::string(c.workload) == "drift:fenced") {
     return mc::drift_workload(drift_factory()).run(config, opts);
   }
-  return mc::exclusive_workload(exclusive_factory()).run(config, opts);
+  return mc::lock_workload(exclusive_factory()).run(config, opts);
 }
 
 /// Records the golden traces with kRandom scheduling (regeneration mode).
