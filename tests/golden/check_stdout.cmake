@@ -1,11 +1,15 @@
 # Runs one deterministic binary and byte-compares its stdout with a golden
 # file committed next to this script:
 #
-#   cmake -DBIN=<binary> -DARGS="<flags>" -DGOLDEN=<file> -P check_stdout.cmake
+#   cmake -DBIN=<binary> -DARGS="<flags>" -DGOLDEN=<file> [-DDROP=<regex>]
+#         -P check_stdout.cmake
 #
 # The RMALOCK_* environment knobs that reshape a campaign are cleared first,
-# so the run sees only its flags. A mismatch prints a unified diff and fails;
-# with RMALOCK_REGEN_GOLDEN set the golden is rewritten instead.
+# so the run sees only its flags. With DROP, every stdout line holding a
+# match of the regex is removed before the compare (and from a rewritten
+# golden): it names the rows of an otherwise deterministic binary that
+# measure wall clock. A mismatch prints a unified diff and fails; with
+# RMALOCK_REGEN_GOLDEN set the golden is rewritten instead.
 foreach(knob SEED PS JOBS QUICK SMOKE TRACE_DIR)
   unset(ENV{RMALOCK_${knob}})
 endforeach()
@@ -16,6 +20,9 @@ execute_process(COMMAND "${BIN}" ${args}
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${BIN} ${ARGS} exited with ${status}")
+endif()
+if(DEFINED DROP)
+  string(REGEX REPLACE "[^\n]*(${DROP})[^\n]*\n" "" actual "${actual}")
 endif()
 
 if(DEFINED ENV{RMALOCK_REGEN_GOLDEN})
