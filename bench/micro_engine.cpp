@@ -23,13 +23,16 @@
 //   task-pool     the mc-churn fleet driven through the shared-cursor
 //                 TaskPool at jobs=1 (pool overhead vs the inline loop)
 //                 and jobs=all-cores (parallel campaign scaling) — the
-//                 overhead/scaling gate for the parallel campaign runtime.
+//                 overhead/scaling gate for the parallel campaign runtime;
+//   fiber-stack   memory, not time: resident fiber-stack KiB per simulated
+//                 process after fig5a's RMA-RW loop, P = 64..1024.
 //
 // Metrics: engine_msteps_per_s (million scheduling-point steps / wall s),
 // sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, for
 // mc-churn/task-pool worlds_per_s (plus speedup_vs_j1 for the parallel
-// pool), for world-build build_ms and worlds_per_s, and for ready-queue
-// ns_per_decision (wall ns per scheduling decision). Run with --json
+// pool), for world-build build_ms and worlds_per_s, for ready-queue
+// ns_per_decision (wall ns per scheduling decision), and for fiber-stack
+// resident_kib_per_proc. Run with --json
 // BENCH_micro_engine.json and compare records across revisions
 // (docs/PERF.md).
 #include <array>
@@ -39,12 +42,15 @@
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "fig_helpers.hpp"
 #include "harness/bench_common.hpp"
+#include "harness/microbench.hpp"
 #include "harness/task_pool.hpp"
 #include "locks/rma_mcs.hpp"
 #include "locks/rma_rw.hpp"
 #include "rma/ready_heap.hpp"
 #include "rma/sim_world.hpp"
+#include "rma/stack_pool.hpp"
 
 namespace {
 
@@ -323,6 +329,32 @@ int main(int argc, char** argv) {
         report.value("task-pool/j1", topology.nprocs(), "worlds_per_s") > 0,
         "jobs=1 pool dispatch ran the mc-churn fleet to completion; "
         "compare worlds_per_s vs mc-churn across revisions for overhead");
+  }
+
+  // --- fiber-stack: resident stack memory per simulated process ----------
+  {
+    // fig5a's RMA-RW loop, 16 requests per rank; the destroyed world's
+    // stacks are then all this thread's pool holds (it is emptied first),
+    // so mincore over the pool reads what the run left resident. A process
+    // whose frames fit in one page keeps 4 KiB.
+    for (const i32 p : {64, 256, 1024}) {
+      rma::StackPool::local().clear();
+      {
+        auto world = rma::SimWorld::create(env.sim_options_for(p));
+        locks::RmaRw lock(*world, bench::rw_params(world->topology(),
+                                                   /*tdc=*/16, /*tl_leaf=*/16,
+                                                   /*tl_root=*/16,
+                                                   /*tr=*/1000));
+        harness::MicrobenchConfig config;
+        config.ops_per_proc = 16;
+        config.fw = 0.02;
+        config.role_mode = harness::RoleMode::kPerOp;
+        harness::run_lock_bench(*world, lock, config);
+      }
+      report.add("fiber-stack", p, "resident_kib_per_proc",
+                 static_cast<double>(rma::StackPool::local().resident_bytes()) /
+                     1024.0 / p);
+    }
   }
 
   report.check("rates are finite and positive",

@@ -66,6 +66,7 @@
 #include "rma/fiber.hpp"
 #include "rma/latency_model.hpp"
 #include "rma/ready_heap.hpp"
+#include "rma/stack_pool.hpp"
 #include "rma/world.hpp"
 
 namespace rmalock::obs {
@@ -124,7 +125,10 @@ struct SimOptions : FaultKnobs {
   /// Decision hook consulted after `replay` is exhausted (see PickHook).
   /// Used by the exhaustive explorer.
   PickHook pick_hook;
-  /// Stack bytes per simulated process.
+  /// Stack bytes per simulated process, mapped rounded up to whole pages
+  /// with the top on a page boundary (rma/stack_pool.hpp). Only touched
+  /// pages are resident: a process whose frames fit in one page keeps one
+  /// page resident, whatever this size.
   usize fiber_stack_bytes = 256 * 1024;
 
   // The fault knobs are inherited from FaultKnobs (rma/faults.hpp).
@@ -183,7 +187,7 @@ class SimWorld final : public World {
     explicit Proc(u64 rng_seed) : rng(rng_seed) {}
 
     Fiber fiber;
-    std::unique_ptr<char[]> stack;
+    FiberStack stack;
     Nanos clock = 0;
     ProcState state = ProcState::kRunnable;
     /// Set when a window write (as opposed to a force-wake) unparked this
