@@ -12,7 +12,6 @@
 #include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "harness/microbench.hpp"
 #include "locks/rma_rw.hpp"
