@@ -262,7 +262,6 @@ int main(int argc, char** argv) {
       opts.latency = rma::LatencyModel::zero(topology.num_levels());
       opts.seed = env.seed + static_cast<u64>(w);
       opts.policy = rma::SchedPolicy::kRandom;
-      opts.fiber_stack_bytes = 64 * 1024;  // the MC explorer's stack size
       auto world = rma::SimWorld::create(std::move(opts));
       const EngineRun run = run_lock_loop(*world, /*acquires_per_proc=*/2);
       total.steps += run.steps;
@@ -296,7 +295,6 @@ int main(int argc, char** argv) {
         opts.latency = rma::LatencyModel::zero(topology.num_levels());
         opts.seed = env.seed + w;
         opts.policy = rma::SchedPolicy::kRandom;
-        opts.fiber_stack_bytes = 64 * 1024;  // the MC explorer's stack size
         auto world = rma::SimWorld::create(std::move(opts));
         slots[static_cast<usize>(w)] =
             run_lock_loop(*world, /*acquires_per_proc=*/2);

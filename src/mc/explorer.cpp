@@ -32,15 +32,15 @@ struct Node {
   }
 };
 
-/// DFS core shared by the sequential explorer and the sharded parallel
-/// one. With a `prefix`, decisions 0..prefix->size()-1 are forced to the
-/// recorded ranks — their preemption cost is re-derived and charged, but
-/// they are never branched — and the DFS enumerates only the subtree
-/// below: the unit of work of the parallel campaign runtime.
+/// The DFS. Decisions 0..prefix.size()-1 are forced to the recorded ranks
+/// — their preemption cost is re-derived and charged, but they are never
+/// branched — and the DFS enumerates only the subtree below: the unit of
+/// work of an exhaustive campaign round. The empty prefix is the whole
+/// tree.
 ExploreStats explore_impl(const ExploreConfig& config,
                           const ExploreRunner& run_one,
-                          const std::vector<Rank>* prefix) {
-  const usize prefix_len = prefix ? prefix->size() : 0;
+                          const std::vector<Rank>& prefix) {
+  const usize prefix_len = prefix.size();
   ExploreStats stats;
   std::vector<Node> path;  // free decisions only (depth >= prefix_len)
   bool capped = false;
@@ -52,7 +52,7 @@ ExploreStats explore_impl(const ExploreConfig& config,
         -> Rank {
       const usize d = depth++;
       if (d < prefix_len) {
-        const Rank forced = (*prefix)[d];
+        const Rank forced = prefix[d];
         RMALOCK_CHECK_MSG(
             std::find(candidates.begin(), candidates.end(), forced) !=
                 candidates.end(),
@@ -134,10 +134,9 @@ ExploreStats explore_impl(const ExploreConfig& config,
 }
 
 /// The iterative-deepening protocol, parameterized over how one budget
-/// round is explored (sequential DFS or the sharded parallel round). One
-/// implementation keeps jobs=1 and jobs>1 walking the exact same bound
-/// sequence — budget transfer, early stop on abort/incomplete, and the
-/// nothing-pruned termination — which the determinism contract depends on.
+/// round is explored (a plain DFS in explore_iterative, a campaign round in
+/// check_exhaustive): budget transfer, early stop on abort/incomplete, and
+/// the nothing-pruned termination.
 template <typename RoundFn>
 ExploreStats iterate_budgets(const ExploreConfig& config,
                              const RoundFn& run_round) {
@@ -174,7 +173,7 @@ ExploreStats iterate_budgets(const ExploreConfig& config,
 
 ExploreStats explore_schedules(const ExploreConfig& config,
                                const ExploreRunner& run_one) {
-  return explore_impl(config, run_one, nullptr);
+  return explore_impl(config, run_one, {});
 }
 
 ExploreStats explore_iterative(const ExploreConfig& config,
@@ -187,7 +186,7 @@ ExploreStats explore_iterative(const ExploreConfig& config,
 namespace {
 
 /// SimOptions for one hook-driven exhaustive schedule (shared by the
-/// sequential DFS, the frontier probes, and the parallel subtree tasks).
+/// frontier probes and the subtree explorations).
 rma::SimOptions exhaustive_options(const CheckConfig& config,
                                    const rma::PickHook& hook, bool record) {
   rma::SimOptions opts = schedule_options(config, 0);
@@ -196,19 +195,15 @@ rma::SimOptions exhaustive_options(const CheckConfig& config,
   // by the (stateful) DFS hook and cannot be re-executed after the fact
   // for a lazy recording.
   opts.record_schedule = record;
-  // One fresh world per schedule: at ~1e5 schedules the default 256 KiB
-  // fiber stacks dominate wall time through page zeroing alone. The
-  // explorer only ever runs tiny configurations, so 64 KiB is ample.
-  opts.fiber_stack_bytes = 64 * 1024;
   return opts;
 }
 
-/// The DFS frontier at a fixed decision depth: one prefix per reachable
-/// depth-bounded decision path, in DFS order — the exact order the
-/// sequential DFS visits the corresponding subtrees, which is what makes
-/// the parallel merge deterministic.
+/// The subtrees one round explores, as decision prefixes in DFS order —
+/// the order the DFS of the whole tree visits them, which is what makes
+/// the merge deterministic.
 struct Frontier {
-  std::vector<std::vector<Rank>> prefixes;
+  /// The whole tree as one subtree by default.
+  std::vector<std::vector<Rank>> prefixes{{}};
   ExploreStats stats;  // of the depth-bounded enumeration itself
 };
 
@@ -220,6 +215,7 @@ struct Frontier {
 Frontier enumerate_frontier(const ExploreConfig& config, usize depth,
                             const ExploreRunner& probe) {
   Frontier frontier;
+  frontier.prefixes.clear();
   ExploreConfig bounded = config;
   bounded.max_decision_depth =
       config.max_decision_depth == 0
@@ -237,15 +233,14 @@ Frontier enumerate_frontier(const ExploreConfig& config, usize depth,
     frontier.prefixes.push_back(current);
     return keep;
   };
-  frontier.stats = explore_impl(bounded, recording, nullptr);
+  frontier.stats = explore_impl(bounded, recording, {});
   return frontier;
 }
 
-/// Outcome of one subtree task, merged on the calling thread in DFS order.
+/// One explored subtree, merged on the calling thread in DFS order.
 struct SubtreeResult {
   CheckReport report;  // local fold of this subtree's schedules
-  ExploreStats stats;
-  bool failed = false;
+  ExploreStats stats;  // `aborted` iff its last schedule failed
   ScheduleOutcome fail_outcome;
 };
 
@@ -266,124 +261,108 @@ CheckReport check_exhaustive(const CheckConfig& config,
     return workload.run(explored, run_opts);
   };
 
-  // One round on the calling thread, in DFS order: the jobs=1 campaign,
-  // and the fallback for parallel rounds whose prefix space alone blows the
-  // schedule budget (shard accounting can no longer mirror the sequential
-  // order).
-  const auto run_round_sequential =
-      [&](const ExploreConfig& round) -> ExploreStats {
+  // Explores the subtree below `prefix` within `round`'s bounds, stopping
+  // at its first failure: a pool task, or the merge's re-run of the
+  // subtree that crosses the schedule cap.
+  const auto explore_subtree = [&](const ExploreConfig& round,
+                                   const std::vector<Rank>& prefix) {
+    SubtreeResult slot;
     const ExploreRunner run_one = [&](const rma::PickHook& hook) {
-      const rma::SimOptions opts =
-          exhaustive_options(explored, hook, /*record=*/true);
-      const ScheduleOutcome outcome = rerun(opts);
-      fold_outcome(report, outcome);
-      capture_first_failure(report, explored, outcome,
-                            report.schedules_run - 1, opts, rerun);
-      return !outcome.failed();  // stop at the first counterexample
+      const ScheduleOutcome outcome =
+          rerun(exhaustive_options(explored, hook, /*record=*/true));
+      fold_outcome(slot.report, outcome);
+      if (outcome.failed()) slot.fail_outcome = outcome;
+      return !outcome.failed();  // stop this subtree at its first failure
     };
-    return explore_impl(round, run_one, nullptr);
+    slot.stats = explore_impl(round, run_one, prefix);
+    return slot;
   };
 
-  const auto run_round_parallel =
-      [&](const ExploreConfig& round) -> ExploreStats {
-    // Phase 1 (sequential): enumerate the subtree frontier with cheap
-    // unrecorded probe runs.
-    const ExploreRunner probe = [&](const rma::PickHook& hook) {
-      const rma::SimOptions opts =
-          exhaustive_options(explored, hook, /*record=*/false);
-      (void)rerun(opts);
-      return true;  // failures resurface deterministically in phase 2
-    };
+  const auto run_round = [&](const ExploreConfig& round) -> ExploreStats {
+    // Phase 1 (jobs > 1): cut the tree into subtrees with cheap unrecorded
+    // probe runs, deepening until the frontier is a few times wider than
+    // the pool (load balance across skewed subtrees) or stops growing (the
+    // whole space is smaller than the cut). A probe that runs into the
+    // schedule cap leaves the whole tree as the one subtree.
     Frontier frontier;
-    if (round.shard_depth != 0) {
-      frontier = enumerate_frontier(round, round.shard_depth, probe);
-    } else {
-      // Auto depth: deepen until the frontier is a few times wider than
-      // the worker pool (load balance across skewed subtrees) or stops
-      // growing (the whole space is smaller than the cut).
+    if (jobs > 1) {
+      const ExploreRunner probe = [&](const rma::PickHook& hook) {
+        (void)rerun(exhaustive_options(explored, hook, /*record=*/false));
+        return true;  // failures resurface deterministically in phase 2
+      };
       usize last_count = 0;
       for (usize depth = 2; depth <= 16; depth += 2) {
-        frontier = enumerate_frontier(round, depth, probe);
-        if (!frontier.stats.complete) break;
+        Frontier cut = enumerate_frontier(round, depth, probe);
+        if (!cut.stats.complete) {
+          frontier = Frontier{};
+          break;
+        }
+        frontier = std::move(cut);
         if (frontier.prefixes.size() >= static_cast<usize>(jobs) * 4) break;
         if (frontier.prefixes.size() == last_count) break;
         last_count = frontier.prefixes.size();
       }
     }
-    if (!frontier.stats.complete) return run_round_sequential(round);
 
-    // Phase 2: one task per subtree. Slots are pre-sized; each task folds
-    // into its own local report only.
+    // Phase 2: one task per subtree, each folding into its own slot.
+    // Subtrees after one that stopped early (a failure, or a cap reached
+    // inside it) are dead work: the merge stops at or before it.
     std::vector<SubtreeResult> slots(frontier.prefixes.size());
     harness::TaskPool pool(jobs);
-    pool.run(frontier.prefixes.size(), [&](u64 i) {
-      SubtreeResult& slot = slots[static_cast<usize>(i)];
-      const ExploreRunner run_one = [&](const rma::PickHook& hook) {
-        const rma::SimOptions opts =
-            exhaustive_options(explored, hook, /*record=*/true);
-        const ScheduleOutcome outcome = rerun(opts);
-        fold_outcome(slot.report, outcome);
-        if (outcome.failed() && !slot.failed) {
-          slot.failed = true;
-          slot.fail_outcome = outcome;
-        }
-        return !outcome.failed();  // stop this subtree at its first failure
-      };
-      slot.stats = explore_impl(round, run_one,
-                                &frontier.prefixes[static_cast<usize>(i)]);
-      // Subtrees after a failing one are dead work (the merge below stops
-      // there); subtrees before it must still finish for exact counts.
-      if (slot.failed) pool.stop_after(i);
+    pool.run(slots.size(), [&](u64 i) {
+      const auto at = static_cast<usize>(i);
+      slots[at] = explore_subtree(round, frontier.prefixes[at]);
+      if (!slots[at].stats.complete) pool.stop_after(i);
     });
 
-    // Deterministic merge, in DFS order, up to and including the first
-    // failing subtree — exactly the schedules the sequential DFS would
-    // have run before stopping at its first counterexample.
+    // Deterministic merge in DFS order: exactly the schedules the DFS of
+    // the whole tree runs before it drains, fails or spends the cap.
     ExploreStats total;
     total.complete = true;
-    usize failing = slots.size();
+    total.pruned_by_preemption = frontier.stats.pruned_by_preemption;
     for (usize i = 0; i < slots.size(); ++i) {
-      report += slots[i].report;
-      total.schedules += slots[i].stats.schedules;
-      total.pruned_by_preemption += slots[i].stats.pruned_by_preemption;
-      total.truncated_by_depth += slots[i].stats.truncated_by_depth;
-      total.complete = total.complete && slots[i].stats.complete;
-      if (slots[i].failed) {
-        failing = i;
+      SubtreeResult& slot = slots[i];
+      if (round.max_schedules != 0) {
+        // Every task ran with the whole round's budget; the budget left
+        // at this subtree is what the DFS of the whole tree would have.
+        const u64 left = round.max_schedules - total.schedules;
+        if (left == 0) {  // spent with subtrees left; 0 reads as unbounded
+          total.complete = false;
+          break;
+        }
+        if (slot.stats.schedules > left) {
+          ExploreConfig rest = round;
+          rest.max_schedules = left;
+          slot = explore_subtree(rest, frontier.prefixes[i]);
+        }
+      }
+      report += slot.report;
+      total.schedules += slot.stats.schedules;
+      total.pruned_by_preemption += slot.stats.pruned_by_preemption;
+      total.truncated_by_depth += slot.stats.truncated_by_depth;
+      if (slot.stats.aborted) {
+        total.aborted = true;
+        // Shrinking and trace-file writing happen once, here, with the
+        // campaign-global schedule index: after merging through the
+        // failing subtree, report.schedules_run - 1 is the failure's index
+        // in the DFS of the whole tree, so coordinates, file name and the
+        // ddmin-shrunk trace do not depend on the frontier. The placeholder
+        // hook only marks the options as hook-driven (the failing run was
+        // already recorded up front) — it is never invoked.
+        const rma::SimOptions fail_opts = exhaustive_options(
+            explored, [](const std::vector<Rank>& c) { return c.front(); },
+            /*record=*/true);
+        capture_first_failure(report, explored, slot.fail_outcome,
+                              report.schedules_run - 1, fail_opts, rerun);
+      }
+      if (!slot.stats.complete) {
+        total.complete = false;
         break;
       }
-    }
-    total.pruned_by_preemption += frontier.stats.pruned_by_preemption;
-    if (round.max_schedules != 0 && total.schedules > round.max_schedules) {
-      // The sequential DFS would have stopped at the cap; the shards,
-      // each individually under budget, overshot it. Counts beyond the
-      // cap stay in the report (they were really enumerated) but the
-      // space is not certified complete.
-      total.complete = false;
-    }
-    if (failing < slots.size()) {
-      total.aborted = true;
-      total.complete = false;
-      // Shrinking and trace-file writing happen once, here, with the
-      // campaign-global schedule index: after merging through the failing
-      // subtree, report.schedules_run equals the sequential count at the
-      // failure, so coordinates, file name, and the ddmin-shrunk trace
-      // come out identical to the jobs=1 run. The placeholder hook only
-      // marks the options as hook-driven (the failing run was already
-      // recorded up front) — it is never invoked.
-      const rma::SimOptions fail_opts = exhaustive_options(
-          explored, [](const std::vector<Rank>& c) { return c.front(); },
-          /*record=*/true);
-      capture_first_failure(report, explored,
-                            slots[failing].fail_outcome,
-                            report.schedules_run - 1, fail_opts, rerun);
     }
     return total;
   };
 
-  const auto run_round = [&](const ExploreConfig& round) {
-    return jobs > 1 ? run_round_parallel(round) : run_round_sequential(round);
-  };
   const ExploreStats stats =
       iterative ? iterate_budgets(explore, run_round) : run_round(explore);
   if (stats.complete) ++report.exhausted_spaces;

@@ -42,14 +42,6 @@ struct ExploreConfig {
   usize max_decision_depth = 0;
   /// Preemption budget per schedule (-1 = unbounded).
   i32 max_preemptions = -1;
-  /// Parallel campaigns (CheckConfig::jobs > 1) shard the DFS at this
-  /// decision depth: every reachable decision prefix of this length is
-  /// enumerated sequentially, then each prefix's subtree is explored as an
-  /// independent task. 0 = auto (deepen until the frontier is a few times
-  /// wider than the worker count). Sequential runs ignore it. Any depth
-  /// yields the same enumeration — the knob only trades shard granularity
-  /// against frontier-probe overhead (docs/PERF.md).
-  usize shard_depth = 0;
 };
 
 struct ExploreStats {
@@ -93,6 +85,9 @@ ExploreStats explore_iterative(const ExploreConfig& config,
 /// DFS branch whose fault choices each cost one preemption, so iterative
 /// deepening surfaces the fault-free space first. `iterative` selects
 /// that deepening, as in explore_iterative (explore.max_preemptions >= 0).
+/// At config.jobs > 1 each round runs as DFS subtrees on a task pool; the
+/// report, including where max_schedules stops the campaign, is the same
+/// at every jobs value (docs/PERF.md §4).
 CheckReport check_exhaustive(const CheckConfig& config,
                              const ExploreConfig& explore,
                              const Workload& workload, bool iterative = false);

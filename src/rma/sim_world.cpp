@@ -24,9 +24,11 @@ bool trace_env_enabled() {
 /// The candidates of the current pick_hook call, refilled per decision so
 /// the explorer's decisions do not allocate. One buffer per thread rather
 /// than a SimWorld member: a hook cannot start another run on its thread,
-/// and 24 more bytes would take sizeof(SimWorld) (1016) past the largest
-/// request glibc serves from its per-thread cache (1032), which cost each
-/// P = 4 explored world about 0.4 us of allocation.
+/// and sizeof(SimWorld) (1000) must stay within the largest request glibc
+/// serves from its per-thread cache (1032, pinned by
+/// SimWorldLayout.FitsGlibcThreadCache); past it each P = 4 explored world
+/// paid about 0.4 us of allocation. A 24-byte vector member would spend
+/// most of the 32 bytes left.
 std::vector<Rank>& hook_candidates() {
   thread_local std::vector<Rank> candidates;
   return candidates;
@@ -246,7 +248,6 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
   window_writes_ = 0;
   writes_at_last_stall_ = 0;
   stall_rounds_ = 0;
-  barrier_arrived_ = 0;
   barrier_ranks_.clear();
   const i32 p = nprocs();
   unfinished_ = p;
@@ -300,11 +301,9 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
     proc.drift_skew = 0;
     proc.drift_events = 0;
     proc.rng = Xoshiro256(mix_seed(opts_.seed, static_cast<u64>(r)));
-    if (!proc.stack) {
-      proc.stack = StackPool::local().acquire(opts_.fiber_stack_bytes);
-    }
-    proc.fiber.init(proc.stack.top() - opts_.fiber_stack_bytes,
-                    opts_.fiber_stack_bytes, &fiber_entry);
+    if (!proc.stack) proc.stack = StackPool::local().acquire();
+    proc.fiber.init(proc.stack.top() - StackPool::kStackBytes,
+                    StackPool::kStackBytes, &fiber_entry);
     if (opts_.policy == SchedPolicy::kVirtualTime) {
       ready_heap_.push({proc.clock, r});
     } else {
@@ -587,7 +586,6 @@ void SimWorld::begin_stop(bool deadlock, bool step_limit) {
       make_runnable(proc, r);
     }
   }
-  barrier_arrived_ = 0;
   barrier_ranks_.clear();
 }
 
@@ -614,7 +612,8 @@ void SimWorld::bump_step(Rank origin) {
 // ---------------------------------------------------------------------------
 
 void SimWorld::release_barrier_if_complete() {
-  if (barrier_arrived_ == 0 || barrier_arrived_ < unfinished_) return;
+  const auto arrived = static_cast<i32>(barrier_ranks_.size());
+  if (arrived == 0 || arrived < unfinished_) return;
   Nanos max_clock = 0;
   for (const Rank r : barrier_ranks_) {
     max_clock = std::max(max_clock, procs_[static_cast<usize>(r)]->clock);
@@ -624,7 +623,6 @@ void SimWorld::release_barrier_if_complete() {
     proc.clock = max_clock;
     make_runnable(proc, r);
   }
-  barrier_arrived_ = 0;
   barrier_ranks_.clear();
 }
 
@@ -634,8 +632,7 @@ void SimWorld::execute_barrier(Rank origin) {
   Proc& self = *procs_[static_cast<usize>(origin)];
   clear_polls(self);
   barrier_ranks_.push_back(origin);
-  ++barrier_arrived_;
-  if (barrier_arrived_ >= unfinished_) {
+  if (static_cast<i32>(barrier_ranks_.size()) >= unfinished_) {
     // Last arrival: synchronize clocks and release everyone (make_runnable
     // skips us, the running caller); we keep the cpu and yield normally.
     release_barrier_if_complete();

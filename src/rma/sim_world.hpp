@@ -125,12 +125,6 @@ struct SimOptions : FaultKnobs {
   /// Decision hook consulted after `replay` is exhausted (see PickHook).
   /// Used by the exhaustive explorer.
   PickHook pick_hook;
-  /// Stack bytes per simulated process, mapped rounded up to whole pages
-  /// with the top on a page boundary (rma/stack_pool.hpp). Only touched
-  /// pages are resident: a process whose frames fit in one page keeps one
-  /// page resident, whatever this size.
-  usize fiber_stack_bytes = 256 * 1024;
-
   // The fault knobs are inherited from FaultKnobs (rma/faults.hpp).
 
   // --- observability -------------------------------------------------------
@@ -475,8 +469,7 @@ class SimWorld final : public World {
   u64 writes_at_last_stall_ = 0;
   i32 stall_rounds_ = 0;
   i32 unfinished_ = 0;
-  i32 barrier_arrived_ = 0;
-  std::vector<Rank> barrier_ranks_;
+  std::vector<Rank> barrier_ranks_;  // arrived at the current barrier
   bool stopping_ = false;
   bool running_ = false;
   obs::Tracer* tracer_ = nullptr;  // armed event sink; null = disarmed

@@ -142,8 +142,10 @@ TEST(ParallelChecker, ExhaustiveEnumerationMatchesSequential) {
 }
 
 TEST(ParallelChecker, ExhaustiveShardDepthDoesNotChangeEnumeration) {
-  // Any shard depth yields the same enumeration — the knob only changes
-  // task granularity.
+  // Any cut of the tree yields the same enumeration. The frontier deepens
+  // until it holds at least 4 x jobs subtrees, so these jobs values cut
+  // the rounds at different depths (4, 4, 6 and 12 at d <= 2; 4, 6, 16
+  // and 16 at d <= 1).
   CheckConfig config;
   config.topology = topo::Topology::uniform({}, 2);
   config.acquires_per_proc = 2;
@@ -155,12 +157,39 @@ TEST(ParallelChecker, ExhaustiveShardDepthDoesNotChangeEnumeration) {
   const CheckReport seq =
       check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                        true);
-  config.jobs = 3;
-  for (const usize depth : {1u, 3u, 7u}) {
-    explore.shard_depth = depth;
+  for (const i32 jobs : {2, 3, 8, 32}) {
+    SCOPED_TRACE(jobs);
+    config.jobs = jobs;
     const CheckReport par =
         check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
                          true);
+    expect_equal_reports(seq, par);
+  }
+}
+
+TEST(ParallelChecker, CappedExhaustiveCampaignMatchesSequential) {
+  // A schedule cap that stops the DFS inside the space: every subtree task
+  // runs with the whole budget, so the merge must re-run the subtree that
+  // crosses the cap with the budget left and drop the ones after it.
+  CheckConfig config;
+  config.topology = topo::Topology::uniform({}, 2);
+  config.acquires_per_proc = 2;
+  config.max_steps = 200'000;
+  ExploreConfig explore;
+  explore.max_schedules = 120;
+  explore.max_preemptions = 2;
+  const CheckReport seq =
+      check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
+                       /*iterative=*/true);
+  EXPECT_TRUE(seq.ok());
+  EXPECT_EQ(seq.schedules_run, 120u);
+  EXPECT_EQ(seq.exhausted_spaces, 0u);
+  for (const i32 jobs : {2, 4, 7}) {
+    SCOPED_TRACE(jobs);
+    config.jobs = jobs;
+    const CheckReport par =
+        check_exhaustive(config, explore, lock_workload(rma_mcs_factory()),
+                         /*iterative=*/true);
     expect_equal_reports(seq, par);
   }
 }

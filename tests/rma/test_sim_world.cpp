@@ -673,5 +673,22 @@ TEST(FaultDecision, VirtualTimeHookIsConsultedAtEveryArmedDecision) {
   EXPECT_EQ(faults_of(run.result), 0u);
 }
 
+// glibc serves requests of up to 1032 bytes from a per-thread cache. A
+// SimWorld past that takes malloc's slower path on every new and delete,
+// which an exhaustive sweep pays once per explored schedule.
+TEST(SimWorldLayout, FitsGlibcThreadCache) {
+#if defined(__GLIBC__) && defined(__x86_64__)
+  if (RMALOCK_ASAN || RMALOCK_TSAN) {
+    GTEST_SKIP() << "the sanitizer runtime replaces malloc";
+  }
+  EXPECT_LE(sizeof(SimWorld), 1032U)
+      << "every SimWorld now misses glibc's per-thread cache: one 24-byte "
+         "member over the limit made the mc_exhaustive sweep explore 12% "
+         "slower (docs/PERF.md section 9); move run-only state out of line";
+#else
+  GTEST_SKIP() << "the limit is glibc's on x86-64";
+#endif
+}
+
 }  // namespace
 }  // namespace rmalock::rma

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "harness/microbench.hpp"
 #include "locks/rma_rw.hpp"
@@ -42,44 +43,40 @@ usize maps_lines() {
 TEST(StackPool, TopIsPageAlignedAndTheWholeStackIsWritable) {
   StackPool pool;
   const usize page = page_bytes();
-  for (const usize bytes : {usize{64} * 1024, usize{256} * 1024,
-                            usize{64} * 1024 + 100}) {
-    FiberStack stack = pool.acquire(bytes);
-    ASSERT_TRUE(stack);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(stack.top()) % page, 0U) << bytes;
-    // The page-rounded stack and the spare page below it.
-    EXPECT_EQ(stack.mapped_bytes(), (bytes + page - 1) / page * page + page);
-    char* const base = stack.top() - bytes;
-    base[0] = 1;
-    stack.top()[-1] = 2;
-    EXPECT_EQ(base[0] + stack.top()[-1], 3);
-  }
+  // The stack and the spare page below it.
+  EXPECT_EQ(StackPool::mapped_bytes(), StackPool::kStackBytes + page);
+  FiberStack stack = pool.acquire();
+  ASSERT_TRUE(stack);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(stack.top()) % page, 0U);
+  char* const base = stack.top() - StackPool::kStackBytes;
+  base[0] = 1;
+  stack.top()[-1] = 2;
+  EXPECT_EQ(base[0] + stack.top()[-1], 3);
 }
 
 TEST(StackPool, ReleaseThenAcquireReturnsTheSameStack) {
   StackPool pool;
-  FiberStack stack = pool.acquire(64 * 1024);
+  FiberStack stack = pool.acquire();
   char* const top = stack.top();
-  const usize mapped = stack.mapped_bytes();
   pool.release(std::move(stack));
-  EXPECT_EQ(pool.pooled_bytes(), mapped);
-  const FiberStack again = pool.acquire(64 * 1024);
+  EXPECT_EQ(pool.pooled_bytes(), StackPool::mapped_bytes());
+  const FiberStack again = pool.acquire();
   EXPECT_EQ(again.top(), top);
   EXPECT_EQ(pool.pooled_bytes(), 0U);
 }
 
 TEST(StackPool, ReleasePastTheCapUnmapsInsteadOfPooling) {
   StackPool pool;
-  pool.release(pool.acquire(64 * 1024));
-  const usize pooled = pool.pooled_bytes();
-  ASSERT_GT(pooled, 0U);
-  // Mapped, never touched: costs address space, not memory.
-  FiberStack big = pool.acquire(StackPool::kMaxPooledBytes);
-  char* const top = big.top();
-  ASSERT_TRUE(page_below_is_mapped(top));
-  pool.release(std::move(big));
-  EXPECT_EQ(pool.pooled_bytes(), pooled);
-  EXPECT_FALSE(page_below_is_mapped(top));
+  // Mapped, never touched: they cost address space, not memory.
+  std::vector<FiberStack> stacks(
+      StackPool::kMaxPooledBytes / StackPool::mapped_bytes() + 1);
+  for (FiberStack& stack : stacks) stack = pool.acquire();
+  char* const last = stacks.back().top();
+  ASSERT_TRUE(page_below_is_mapped(last));
+  for (FiberStack& stack : stacks) pool.release(std::move(stack));
+  EXPECT_EQ(pool.pooled_bytes(),
+            (stacks.size() - 1) * StackPool::mapped_bytes());
+  EXPECT_FALSE(page_below_is_mapped(last));
   pool.clear();
   EXPECT_EQ(pool.pooled_bytes(), 0U);
 }
@@ -118,7 +115,7 @@ TEST(StackPool, OneResidentPagePerProcessAfterAFig5aLoop) {
       EXPECT_EQ(result.total_acquires, u64{kProcs} * 16);
     }
     const StackPool& pool = StackPool::local();
-    stacks = pool.pooled_bytes() / (usize{256} * 1024 + page_bytes());
+    stacks = pool.pooled_bytes() / StackPool::mapped_bytes();
     resident = pool.resident_bytes();
     new_maps_lines = maps_lines() - maps_before;
   }).join();
